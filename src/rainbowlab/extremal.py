@@ -4,8 +4,10 @@ ext_exact computes the largest edge count of a subgraph with no matching of
 size m.  rb_exact computes the rainbow number rb(G, m) = f(G, m) + 1, where
 f(G, m) is the largest number of colors in a surjective edge-coloring of G
 with no rainbow m-matching; the search enumerates canonical restricted-growth
-colorings with two prunes and returns the lexicographically smallest extremal
-coloring, independently of how many workers share the search tree.
+colorings with two prunes (a rainbow m-matching among the colored edges, and
+a bound on new colors that forward-checks which uncolored edges can still
+open one) and returns the lexicographically smallest extremal coloring,
+independently of how many workers share the search tree.
 
 The closed-form evaluators cover k-regular bipartite graphs, paths, cycles,
 and complete bipartite graphs; each validates its stated parameter range and
@@ -23,7 +25,7 @@ from typing import NamedTuple
 from .colorings import Coloring
 from .errors import BudgetExceededError
 from .graphs import Graph
-from .rainbow import find_rainbow_matching, max_matching_size
+from .rainbow import _independence_masks, find_rainbow_matching, max_matching_size
 
 __all__ = [
     "ExtResult",
@@ -92,16 +94,6 @@ def _exists_matching(avail: int, need: int, indep: list[int]) -> bool:
         if _exists_matching(avail & indep[j], need - 1, indep):
             return True
     return False
-
-
-def _independence_masks(vmasks: list[int]) -> list[int]:
-    edge_count = len(vmasks)
-    indep = [0] * edge_count
-    for i in range(edge_count):
-        for j in range(edge_count):
-            if i != j and not vmasks[i] & vmasks[j]:
-                indep[i] |= 1 << j
-    return indep
 
 
 def ext_exact(g: Graph, m: int) -> ExtResult:
@@ -207,9 +199,13 @@ def _subtree_search(edge_count: int, indep: list[int], m: int,
     Prune (a): a partial coloring that already shows a rainbow m-matching can
     never become rainbow-free (colors of colored edges are final), so the
     branch dies the moment edge i's color completes one.
-    Prune (b): with best t* found, a node whose colors-so-far plus uncolored
-    edges cannot exceed t* is hopeless even if every remaining edge opened a
-    new color.
+    Prune (b), by forward checking: an uncolored edge j is closed once some
+    rainbow (m-1)-matching among the colored edges avoids j's endpoints, since
+    a new color on j would complete a rainbow m-matching.  Closed edges can
+    only reuse colors, so with best t* found, a node whose colors-so-far plus
+    open uncolored edges cannot exceed t* is hopeless.  The closed set only
+    grows along a branch, and after edge i is colored only matchings through
+    i are new, so only the open edges disjoint from i are re-tested.
     """
     colors = list(prefix) + [0] * (edge_count - len(prefix))
     color_masks = [0] * (edge_count + 2)
@@ -217,11 +213,15 @@ def _subtree_search(edge_count: int, indep: list[int], m: int,
     for i, c in enumerate(prefix):
         color_masks[c] |= 1 << i
         colored_mask |= 1 << i
+    closed_mask = 0
+    for j in range(len(prefix), edge_count):
+        if _exists_rainbow(colored_mask & indep[j], m - 1, indep, colors, color_masks):
+            closed_mask |= 1 << j
     best_t = 0
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
 
-    def assign(i: int, t: int, colored: int):
+    def assign(i: int, t: int, colored: int, closed: int):
         nonlocal best_t, best_assignment, nodes
         nodes += 1
         if deadline is not None and nodes % TIMEOUT_CHECK_INTERVAL == 0:
@@ -232,20 +232,30 @@ def _subtree_search(edge_count: int, indep: list[int], m: int,
                 best_t = t
                 best_assignment = tuple(colors)
             return
-        if t + (edge_count - i) <= best_t:
+        if t + (edge_count - i) - (closed >> i).bit_count() <= best_t:
             return
         bit = 1 << i
+        # open uncolored edges disjoint from edge i
+        recheck = indep[i] & ~closed & -(bit << 1)
         for c in range(1, t + 2):
             avail = colored & indep[i] & ~color_masks[c]
             colors[i] = c
             if _exists_rainbow(avail, m - 1, indep, colors, color_masks):
                 continue
             color_masks[c] |= bit
-            assign(i + 1, t if c <= t else c, colored | bit)
+            child_closed = closed
+            pending = recheck
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                if _exists_rainbow(avail & indep[low.bit_length() - 1], m - 2, indep,
+                                   colors, color_masks):
+                    child_closed |= low
+            assign(i + 1, t if c <= t else c, colored | bit, child_closed)
             color_masks[c] &= ~bit
         colors[i] = 0
 
-    assign(len(prefix), max(prefix, default=0), colored_mask)
+    assign(len(prefix), max(prefix, default=0), colored_mask, closed_mask)
     return best_t, best_assignment, nodes
 
 
@@ -288,9 +298,13 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
 
     f is the maximum color count over rainbow-free surjective colorings and
     rb = f + 1.  The search space is the set of restricted-growth strings
-    over the edge list, so color permutations are never revisited.  Graphs
-    with more than edge_budget edges are refused outright rather than
-    approximated; raise the budget explicitly to accept the runtime risk.
+    over the edge list, so color permutations are never revisited.  A branch
+    dies when its colored edges hold a rainbow m-matching, or when its colors
+    plus its uncolored edges that can still take a new color (no rainbow
+    (m-1)-matching among colored edges avoids them) cannot beat the best
+    count found.  Graphs with more than edge_budget edges are refused
+    outright rather than approximated; raise the budget explicitly to accept
+    the runtime risk.
 
     With workers > 1 the tree splits at a fixed prefix depth and the results
     reduce by (max color count, lexicographically smallest assignment), which

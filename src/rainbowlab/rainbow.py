@@ -59,26 +59,31 @@ class RainbowWitness:
         return len(set(self.colors)) == len(self.colors)
 
 
-def _matching_number_masks(vmasks: list[int]) -> int:
-    """Exact maximum matching size of an arbitrary small graph given edge
-    vertex-masks.  Branches on the lowest-index edge; exponential but fine at
-    this package's scale."""
-    memo: dict[tuple[int, ...], int] = {}
+def _independence_masks(vmasks: list[int]) -> list[int]:
+    """indep[i] is the bitmask of edges sharing no vertex with edge i."""
+    edge_count = len(vmasks)
+    indep = [0] * edge_count
+    for i in range(edge_count):
+        for j in range(edge_count):
+            if i != j and not vmasks[i] & vmasks[j]:
+                indep[i] |= 1 << j
+    return indep
 
-    def solve(active: tuple[int, ...]) -> int:
-        if not active:
-            return 0
-        if active in memo:
-            return memo[active]
-        head = active[0]
-        rest = active[1:]
-        best = solve(rest)  # skip head
-        with_head = 1 + solve(tuple(m for m in rest if not m & head))
-        best = max(best, with_head)
-        memo[active] = best
-        return best
 
-    return solve(tuple(vmasks))
+def _matching_number(active: int, indep: list[int], memo: dict[int, int]) -> int:
+    """Exact maximum matching size of the edges in the bitmask `active`.
+    Branches on the lowest-index edge; exponential but fine at this package's
+    scale.  `memo` maps edge bitmasks to their matching number and may be
+    shared by calls over the same graph."""
+    if not active:
+        return 0
+    if active in memo:
+        return memo[active]
+    low = active & -active
+    best = max(_matching_number(active ^ low, indep, memo),  # skip the lowest edge
+               1 + _matching_number(active & indep[low.bit_length() - 1], indep, memo))
+    memo[active] = best
+    return best
 
 
 def max_matching_size(g: Graph) -> int:
@@ -86,7 +91,8 @@ def max_matching_size(g: Graph) -> int:
     branching otherwise."""
     if g.bipartition is not None:
         return maximum_matching(g).size
-    return _matching_number_masks(g.edge_vertex_masks())
+    indep = _independence_masks(g.edge_vertex_masks())
+    return _matching_number((1 << g.edge_count) - 1, indep, {})
 
 
 def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitness | None:
@@ -110,15 +116,15 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
     vmasks = g.edge_vertex_masks()
     colors = coloring.assignment
     edge_count = g.edge_count
-    matching_cache: dict[tuple[int, ...], int] = {}
+    indep = _independence_masks(vmasks)
+    matching_memo: dict[int, int] = {}
 
     def available_matching_bound(start: int, used_vertices: int) -> int:
-        active = tuple(
-            vmasks[j] for j in range(start, edge_count) if not vmasks[j] & used_vertices
-        )
-        if active not in matching_cache:
-            matching_cache[active] = _matching_number_masks(list(active))
-        return matching_cache[active]
+        active = 0
+        for j in range(start, edge_count):
+            if not vmasks[j] & used_vertices:
+                active |= 1 << j
+        return _matching_number(active, indep, matching_memo)
 
     chosen: list[int] = []
 

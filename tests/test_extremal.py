@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rainbowlab import (
     BudgetExceededError,
@@ -19,8 +20,14 @@ from rainbowlab import (
     rb_formula_cycle,
     rb_formula_path,
     rb_formula_regular,
+    verify_theorem,
 )
-from helpers import brute_ext, brute_max_matching_size, is_disjoint_edge_set
+from helpers import (
+    brute_ext,
+    brute_has_rainbow_matching,
+    brute_max_matching_size,
+    is_disjoint_edge_set,
+)
 
 
 # --- ext ---------------------------------------------------------------------
@@ -214,6 +221,56 @@ def test_rb_extremal_coloring_is_lex_minimal():
             c.color_count < result.f_value
             or find_rainbow_matching(g, c, m) is not None
         )
+
+
+@st.composite
+def small_graph(draw):
+    """Any simple graph with 2 to 7 edges, bipartite or not, connected or not."""
+    n = draw(st.integers(3, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    size = min(draw(st.integers(2, 7)), len(pairs))
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True,
+                                        min_size=size, max_size=size))))
+
+
+@example(Graph(5, ((0, 1), (1, 2), (2, 0), (3, 4))))  # triangle plus a disjoint edge
+@example(Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3))))  # two triangles
+@example(Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6))))  # C5 plus an edge
+@example(make_cycle(7))
+@example(make_path(7))
+@settings(max_examples=300, deadline=None)
+@given(small_graph())
+def test_rb_exact_matches_brute_force_enumeration(g):
+    # second route: every canonical coloring, checked by the brute-force
+    # helper; canonical_colorings is lexicographic, so a strict > keeps the
+    # lex-first coloring among those with the most colors
+    for m in range(2, brute_max_matching_size(g) + 1):
+        best = None
+        for c in canonical_colorings(g.edge_count):
+            if best is not None and c.color_count <= best.color_count:
+                continue
+            if not brute_has_rainbow_matching(g, c, m):
+                best = c
+        result = rb_exact(g, m)
+        assert (result.f_value, result.rb_value, result.extremal_coloring) == (
+            best.color_count,
+            best.color_count + 1,
+            best,
+        ), (g.edges, m)
+
+
+def test_t25_holds_on_first_nontrivial_cells():
+    # m = 3 with n = 7 > 3(m-1): rb = k(m-2)+2 on circulant and random
+    # 3- and 4-regular bipartite graphs of up to 28 edges
+    records = verify_theorem("T2.5", n_range=(7, 7), k_range=(3, 4), m_range=(3, 3),
+                             samples=2, edge_budget=28, timeout_ms=30_000)
+    assert len(records) == 4
+    assert [r.status for r in records] == ["match"] * 4, records
+
+
+def test_rb_complete_bipartite_k55():
+    result = rb_exact(make_complete_bipartite(5), 3, edge_budget=25, timeout_ms=30_000)
+    assert result.rb_value == rb_formula_complete_bipartite(5, 3) == 7
 
 
 # --- closed forms ---------------------------------------------------------------
