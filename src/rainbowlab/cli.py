@@ -3,7 +3,9 @@
 Subcommands: gen, rb, ext, check, construct, verify, monotonicity.
 Exit codes: 0 success, 1 precondition or parse error, 2 budget refusal,
 3 unacknowledged discrepancy (verify, monotonicity), 4 failed certification
-(construct).  RAINBOWLAB_WORKERS sets the default worker count.
+(construct).  Each subcommand accepts only the flags it reads; an unknown flag
+is a parse error.  RAINBOWLAB_WORKERS sets the default --workers of verify and
+monotonicity, the only subcommands that take it.
 """
 
 from __future__ import annotations
@@ -88,14 +90,22 @@ def _default_workers() -> int:
         return 1
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    parser.add_argument("--out", type=Path, default=None, metavar="FILE")
-    parser.add_argument("--workers", type=int, default=_default_workers(), metavar="N")
-    parser.add_argument("--seed", type=int, default=0, metavar="S")
-    parser.add_argument("--budget-edges", type=int, default=DEFAULT_EDGE_BUDGET, metavar="N")
-    parser.add_argument("--timeout-ms", type=float, default=None, metavar="MS")
-    parser.add_argument("--allowlist", type=Path, default=None, metavar="FILE")
+_SWEEP_FLAGS = ("--format", "--out", "--workers", "--seed", "--budget-edges", "--timeout-ms",
+                "--allowlist")
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    specs = {
+        "--format": dict(choices=("table", "json", "csv"), default="table"),
+        "--out": dict(type=Path, default=None, metavar="FILE"),
+        "--workers": dict(type=int, default=_default_workers(), metavar="N"),
+        "--seed": dict(type=int, default=0, metavar="S"),
+        "--budget-edges": dict(type=int, default=DEFAULT_EDGE_BUDGET, metavar="N"),
+        "--timeout-ms": dict(type=float, default=None, metavar="MS"),
+        "--allowlist": dict(type=Path, default=None, metavar="FILE"),
+    }
+    for name in names:
+        parser.add_argument(name, **specs[name])
 
 
 def build_parser() -> _Parser:
@@ -106,29 +116,28 @@ def build_parser() -> _Parser:
     p.add_argument("family", choices=GEN_FAMILIES)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int, nargs="?", default=None)
-    _common_flags(p)
+    _add_flags(p, "--out", "--seed")
 
     p = sub.add_parser("rb", help="exact rainbow number of m-matchings in a graph file")
     p.add_argument("graph", type=Path)
     p.add_argument("m", type=int)
-    _common_flags(p)
+    _add_flags(p, "--format", "--out", "--budget-edges", "--timeout-ms")
 
     p = sub.add_parser("ext", help="largest m-matching-free edge count in a graph file")
     p.add_argument("graph", type=Path)
     p.add_argument("m", type=int)
-    _common_flags(p)
+    _add_flags(p, "--format", "--out")
 
     p = sub.add_parser("check", help="search a colored graph for a rainbow m-matching")
     p.add_argument("graph", type=Path)
     p.add_argument("coloring", type=Path)
     p.add_argument("m", type=int)
-    _common_flags(p)
 
     p = sub.add_parser("construct", help="emit and certify a rainbow-free coloring")
     p.add_argument("kind", choices=("regular", "path_simple", "path_tight", "cycle_tight"))
     p.add_argument("params", nargs="+",
                    help="regular: GRAPH_FILE M; others: N M")
-    _common_flags(p)
+    _add_flags(p, "--format", "--out")
 
     p = sub.add_parser("verify", help="sweep one claim id against the exhaustive oracle")
     p.add_argument("theorem", choices=THEOREM_IDS)
@@ -136,14 +145,14 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--samples", type=int, default=5)
-    _common_flags(p)
+    _add_flags(p, *_SWEEP_FLAGS)
 
     p = sub.add_parser("monotonicity",
                        help="check that identifying vertices never lowers the rainbow number")
     p.add_argument("--n", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--samples", type=int, default=5)
-    _common_flags(p)
+    _add_flags(p, *_SWEEP_FLAGS)
 
     return parser
 
@@ -272,8 +281,7 @@ def _formula_for(meta: dict, edge_count: int, m: int):
 def _cmd_rb(args) -> int:
     g = load_graph(args.graph)
     meta = _read_metadata(args.graph)
-    result = rb_exact(g, args.m, edge_budget=args.budget_edges,
-                      workers=args.workers, timeout_ms=args.timeout_ms)
+    result = rb_exact(g, args.m, edge_budget=args.budget_edges, timeout_ms=args.timeout_ms)
     formula_value, formula_source = _formula_for(meta, g.edge_count, args.m)
     record = {
         "graph_id": args.graph.name,
@@ -346,7 +354,6 @@ def _cmd_construct(args) -> int:
     record = {
         "construction": label,
         "colors_used": report.colors_used,
-        "claimed_f_lower_bound": report.claimed_f_lower_bound,
         "rainbow_free_certified": report.rainbow_free_certified,
         "pattern": report.pattern,
     }

@@ -63,10 +63,6 @@ class Coloring:
         return classes
 
 
-def from_assignment(assignment: tuple[int, ...]) -> Coloring:
-    return Coloring(assignment, max(assignment))
-
-
 def canonical_colorings(edge_count: int, max_colors: int | None = None) -> Iterator[Coloring]:
     """All canonical colorings of edge_count edges, optionally capped at max_colors.
 

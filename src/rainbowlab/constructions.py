@@ -30,7 +30,6 @@ class ConstructionReport:
     matching_size: int
     coloring: Coloring
     colors_used: int
-    claimed_f_lower_bound: int
     rainbow_free_certified: bool
     pattern: str
 
@@ -46,7 +45,6 @@ def _report(g: Graph, m: int, coloring: Coloring, pattern: str) -> ConstructionR
         matching_size=m,
         coloring=coloring,
         colors_used=coloring.color_count,
-        claimed_f_lower_bound=coloring.color_count,
         rainbow_free_certified=certified,
         pattern=pattern,
     )

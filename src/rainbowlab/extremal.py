@@ -6,8 +6,7 @@ f(G, m) is the largest number of colors in a surjective edge-coloring of G
 with no rainbow m-matching; the search enumerates canonical restricted-growth
 colorings with two prunes (a rainbow m-matching among the colored edges, and
 a bound on new colors that forward-checks which uncolored edges can still
-open one) and returns the lexicographically smallest extremal coloring,
-independently of how many workers share the search tree.
+open one) and returns the lexicographically smallest extremal coloring.
 
 The closed-form evaluators cover k-regular bipartite graphs, paths, cycles,
 and complete bipartite graphs; each validates its stated parameter range and
@@ -19,7 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from multiprocessing import get_context
 from typing import NamedTuple
 
 from .colorings import Coloring
@@ -190,11 +188,10 @@ def _exists_rainbow(avail: int, need: int, indep: list[int], colors: list[int],
     return False
 
 
-def _subtree_search(edge_count: int, indep: list[int], m: int,
-                    prefix: tuple[int, ...], deadline: float | None):
-    """Exhaust the canonical colorings extending `prefix`; return the best
-    rainbow-free color count, its lexicographically smallest assignment, and
-    the number of search nodes visited.
+def _search(edge_count: int, indep: list[int], m: int, deadline: float | None):
+    """Exhaust the canonical colorings; return the best rainbow-free color
+    count, its lexicographically smallest assignment, and the number of search
+    nodes visited.
 
     Prune (a): a partial coloring that already shows a rainbow m-matching can
     never become rainbow-free (colors of colored edges are final), so the
@@ -207,16 +204,8 @@ def _subtree_search(edge_count: int, indep: list[int], m: int,
     grows along a branch, and after edge i is colored only matchings through
     i are new, so only the open edges disjoint from i are re-tested.
     """
-    colors = list(prefix) + [0] * (edge_count - len(prefix))
+    colors = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
-    colored_mask = 0
-    for i, c in enumerate(prefix):
-        color_masks[c] |= 1 << i
-        colored_mask |= 1 << i
-    closed_mask = 0
-    for j in range(len(prefix), edge_count):
-        if _exists_rainbow(colored_mask & indep[j], m - 1, indep, colors, color_masks):
-            closed_mask |= 1 << j
     best_t = 0
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
@@ -224,8 +213,9 @@ def _subtree_search(edge_count: int, indep: list[int], m: int,
     def assign(i: int, t: int, colored: int, closed: int):
         nonlocal best_t, best_assignment, nodes
         nodes += 1
-        if deadline is not None and nodes % TIMEOUT_CHECK_INTERVAL == 0:
-            if time.monotonic() > deadline:
+        # checked at the first node too, so small searches honour the deadline
+        if deadline is not None and nodes % TIMEOUT_CHECK_INTERVAL == 1:
+            if time.monotonic() >= deadline:
                 raise BudgetExceededError("rainbow-number search exceeded its time budget")
         if i == edge_count:
             if t > best_t:
@@ -255,45 +245,12 @@ def _subtree_search(edge_count: int, indep: list[int], m: int,
             color_masks[c] &= ~bit
         colors[i] = 0
 
-    assign(len(prefix), max(prefix, default=0), colored_mask, closed_mask)
+    assign(0, 0, 0, 0)
     return best_t, best_assignment, nodes
 
 
-def _subtree_task(args):
-    return _subtree_search(*args)
-
-
-def _rainbow_free_prefixes(edge_count: int, indep: list[int], m: int, depth: int):
-    """Canonical coloring prefixes of the given depth with no rainbow
-    m-matching among their colored edges, in lexicographic order."""
-    prefixes: list[tuple[int, ...]] = []
-    colors = [0] * depth
-    color_masks = [0] * (depth + 2)
-    nodes = 0
-
-    def extend(i: int, t: int, colored: int):
-        nonlocal nodes
-        nodes += 1
-        if i == depth:
-            prefixes.append(tuple(colors))
-            return
-        bit = 1 << i
-        for c in range(1, t + 2):
-            avail = colored & indep[i] & ~color_masks[c]
-            colors[i] = c
-            if _exists_rainbow(avail, m - 1, indep, colors, color_masks):
-                continue
-            color_masks[c] |= bit
-            extend(i + 1, max(t, c), colored | bit)
-            color_masks[c] &= ~bit
-        colors[i] = 0
-
-    extend(0, 0, 0)
-    return prefixes, nodes
-
-
 def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
-             workers: int = 1, timeout_ms: float | None = None) -> RbResult:
+             timeout_ms: float | None = None) -> RbResult:
     """Exact rainbow number of m-matchings in g by exhaustive canonical search.
 
     f is the maximum color count over rainbow-free surjective colorings and
@@ -305,16 +262,9 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     count found.  Graphs with more than edge_budget edges are refused
     outright rather than approximated; raise the budget explicitly to accept
     the runtime risk.
-
-    With workers > 1 the tree splits at a fixed prefix depth and the results
-    reduce by (max color count, lexicographically smallest assignment), which
-    is scheduling-independent: f_value, rb_value, and extremal_coloring are
-    identical for any worker count.
     """
     if m < 1:
         raise ValueError(f"matching size must be positive, got {m}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     if g.edge_count == 0:
         raise ValueError("rainbow numbers are undefined on graphs with no edges")
     if g.edge_count > edge_budget:
@@ -335,29 +285,8 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         # rainbow-free and rb = 1 with no extremal coloring to exhibit.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return RbResult(0, 1, None, 0, elapsed_ms)
-    vmasks = g.edge_vertex_masks()
-    indep = _independence_masks(vmasks)
-    edge_count = g.edge_count
-
-    if workers == 1 or edge_count <= 4:
-        best_t, best_assignment, nodes = _subtree_search(edge_count, indep, m, (), deadline)
-    else:
-        depth = 2
-        while True:
-            prefixes, prefix_nodes = _rainbow_free_prefixes(edge_count, indep, m, depth)
-            if len(prefixes) >= 4 * workers or depth >= edge_count - 1:
-                break
-            depth += 1
-        tasks = [(edge_count, indep, m, prefix, deadline) for prefix in prefixes]
-        with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_subtree_task, tasks)
-        best_t, best_assignment, nodes = 0, None, prefix_nodes
-        for t, assignment, task_nodes in results:
-            nodes += task_nodes
-            if t > best_t or (t == best_t and assignment is not None
-                              and (best_assignment is None or assignment < best_assignment)):
-                best_t, best_assignment = t, assignment
-
+    indep = _independence_masks(g.edge_vertex_masks())
+    best_t, best_assignment, nodes = _search(g.edge_count, indep, m, deadline)
     assert best_assignment is not None and best_t >= 1  # monochromatic leaf always survives
     extremal = Coloring(best_assignment, best_t)
     if find_rainbow_matching(g, extremal, m) is not None:

@@ -115,10 +115,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class Identification:
-    """Result of merging two vertices: the new graph plus correspondence maps."""
+    """Result of merging two vertices: the new graph, where each old vertex
+    went, and the id of the merged vertex."""
 
     graph: Graph
-    edge_map: tuple[int, ...]  # edge i of the input is edge edge_map[i-1] of the output
     vertex_map: dict[int, int] = field(hash=False)
     merged_vertex: int = 0
 
@@ -251,7 +251,7 @@ def identify_vertices(g: Graph, u: int, v: int) -> Identification:
     """Merge two non-adjacent vertices with disjoint neighborhoods into one.
 
     The merged vertex takes the id min(u, v); ids above max(u, v) shift down
-    by one.  Edge order is preserved, so the returned edge map is positional.
+    by one.  Edge order is preserved: edge i of g is edge i of the result.
     The result is built without sides, so Graph derives its bipartiteness
     afresh (merging may break or create it).
     """
@@ -279,8 +279,7 @@ def identify_vertices(g: Graph, u: int, v: int) -> Identification:
     vertex_map = {w: relabel(w) for w in range(g.vertex_count)}
     new_edges = tuple((relabel(a), relabel(b)) for a, b in g.edges)
     merged = Graph(g.vertex_count - 1, new_edges)
-    edge_map = tuple(range(1, len(new_edges) + 1))
-    return Identification(merged, edge_map, vertex_map, relabel(keep))
+    return Identification(merged, vertex_map, relabel(keep))
 
 
 # --- file format ------------------------------------------------------------

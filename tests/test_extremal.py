@@ -191,20 +191,16 @@ def test_rb_m1_special_case():
     assert result.extremal_coloring is None
 
 
-def test_rb_timeout_is_budget_refusal():
+# P14 with m = 4 takes 3,616 nodes, fewer than TIMEOUT_CHECK_INTERVAL, so it
+# shows whether the deadline is checked before the first interval ends.
+@pytest.mark.parametrize(
+    ("g", "m"),
+    [(make_complete_bipartite(4), 4), (make_path(14), 4)],
+    ids=["K44_m4", "P14_m4"],
+)
+def test_rb_timeout_is_budget_refusal(g, m):
     with pytest.raises(BudgetExceededError):
-        rb_exact(make_complete_bipartite(4), 4, timeout_ms=0.0)
-
-
-def test_rb_workers_match_sequential():
-    g = make_cycle(7)
-    a = rb_exact(g, 3, workers=1)
-    b = rb_exact(g, 3, workers=3)
-    assert (a.f_value, a.rb_value, a.extremal_coloring) == (
-        b.f_value,
-        b.rb_value,
-        b.extremal_coloring,
-    )
+        rb_exact(g, m, timeout_ms=0.0)
 
 
 def test_rb_extremal_coloring_is_lex_minimal():
