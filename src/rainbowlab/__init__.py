@@ -14,7 +14,6 @@ from .colorings import (
     load_coloring,
     parse_coloring,
     save_coloring,
-    split_color_class,
 )
 from .constructions import (
     ConstructionReport,
@@ -23,7 +22,7 @@ from .constructions import (
     extremal_coloring_path_tight,
     extremal_coloring_regular,
 )
-from .errors import BudgetExceededError, CertificationError, NonBipartiteError, RainbowLabError
+from .errors import BudgetExceededError, NonBipartiteError, RainbowLabError
 from .extremal import (
     DEFAULT_EDGE_BUDGET,
     DISPUTED_CYCLE_CASES,
@@ -52,23 +51,8 @@ from .graphs import (
     parse_graph,
     save_graph,
 )
-from .matching import (
-    DeficiencyWitness,
-    Matching,
-    VertexCoverWitness,
-    deficiency_witness,
-    is_matching,
-    maximum_matching,
-    minimum_vertex_cover,
-    saturating_matching,
-)
-from .rainbow import (
-    RainbowWitness,
-    enumerate_representative_choices,
-    find_rainbow_matching,
-    max_matching_size,
-    representative_subgraph,
-)
+from .matching import Matching, maximum_matching
+from .rainbow import RainbowWitness, find_rainbow_matching, max_matching_size
 from .verify import (
     THEOREM_IDS,
     VerificationRecord,

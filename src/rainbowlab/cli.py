@@ -77,7 +77,11 @@ class _Parser(argparse.ArgumentParser):
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        # a reversed range would sweep no cell and pass having checked nothing
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}: {lo} > {hi}")
+        return lo, hi
     value = int(text)
     return value, value
 

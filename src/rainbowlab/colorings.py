@@ -16,7 +16,6 @@ from typing import Iterator
 __all__ = [
     "Coloring",
     "canonical_colorings",
-    "split_color_class",
     "parse_coloring",
     "format_coloring",
     "load_coloring",
@@ -55,13 +54,6 @@ class Coloring:
     def color_of(self, edge_index: int) -> int:
         return self.assignment[edge_index - 1]
 
-    def color_classes(self) -> dict[int, list[int]]:
-        """Edge indices per color, each list ascending."""
-        classes: dict[int, list[int]] = {c: [] for c in range(1, self.color_count + 1)}
-        for i, c in enumerate(self.assignment, start=1):
-            classes[c].append(i)
-        return classes
-
 
 def canonical_colorings(edge_count: int, max_colors: int | None = None) -> Iterator[Coloring]:
     """All canonical colorings of edge_count edges, optionally capped at max_colors.
@@ -83,28 +75,6 @@ def canonical_colorings(edge_count: int, max_colors: int | None = None) -> Itera
             yield from extend(i + 1, max(t, c))
 
     yield from extend(0, 0)
-
-
-def split_color_class(coloring: Coloring, edge_indices: set[int]) -> Coloring:
-    """Refine a coloring by moving some edges of one class to a fresh color.
-
-    The moved edges must form a proper nonempty subset of a single class;
-    they receive color color_count + 1.
-    """
-    if not edge_indices:
-        raise ValueError("nothing to split")
-    colors = {coloring.color_of(i) for i in edge_indices}
-    if len(colors) != 1:
-        raise ValueError("edges to split must currently share one color")
-    (old_color,) = colors
-    class_size = sum(1 for c in coloring.assignment if c == old_color)
-    if len(edge_indices) >= class_size:
-        raise ValueError("splitting must leave the old class nonempty")
-    new_assignment = tuple(
-        coloring.color_count + 1 if i in edge_indices else c
-        for i, c in enumerate(coloring.assignment, start=1)
-    )
-    return Coloring(new_assignment, coloring.color_count + 1)
 
 
 # --- file format ------------------------------------------------------------

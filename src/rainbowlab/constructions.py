@@ -33,10 +33,6 @@ class ConstructionReport:
     rainbow_free_certified: bool
     pattern: str
 
-    def recheck(self) -> bool:
-        """Re-run the certification this report was issued with."""
-        return find_rainbow_matching(self.graph, self.coloring, self.matching_size) is None
-
 
 def _report(g: Graph, m: int, coloring: Coloring, pattern: str) -> ConstructionReport:
     certified = find_rainbow_matching(g, coloring, m) is None

@@ -15,7 +15,3 @@ class BudgetExceededError(RainbowLabError):
 
     This is an explicit refusal, never a silent approximation.
     """
-
-
-class CertificationError(RainbowLabError):
-    """Raised when a coloring that must be rainbow-free fails certification."""

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .colorings import Coloring
 from .errors import BudgetExceededError
 from .graphs import Graph
-from .rainbow import _independence_masks, find_rainbow_matching, max_matching_size
+from .rainbow import _independence_masks, _matching_number, find_rainbow_matching, max_matching_size
 
 __all__ = [
     "ExtResult",
@@ -81,27 +81,15 @@ class CycleFormula(NamedTuple):
 # --- ext --------------------------------------------------------------------
 
 
-def _exists_matching(avail: int, need: int, indep: list[int]) -> bool:
-    """Is there a matching of `need` edges inside the bitmask `avail`?"""
-    if need == 0:
-        return True
-    while avail:
-        low = avail & -avail
-        j = low.bit_length() - 1
-        avail ^= low
-        if _exists_matching(avail & indep[j], need - 1, indep):
-            return True
-    return False
-
-
 def ext_exact(g: Graph, m: int) -> ExtResult:
     """Maximum number of edges of a subgraph of g with no matching of size m.
 
     Bipartite graphs are solved through the cover identity: an edge set has
     no m-matching exactly when some m-1 vertices cover it, so the answer is
     the best edge count over all (m-1)-vertex subsets.  Non-bipartite graphs
-    fall back to branch and bound over edge subsets with an exact matching
-    feasibility test, and are refused above NONBIPARTITE_EXT_MAX_EDGES edges.
+    fall back to branch and bound over edge subsets, testing each inclusion
+    with the memoised exact matching number, and are refused above
+    NONBIPARTITE_EXT_MAX_EDGES edges.
     """
     if m < 1:
         raise ValueError(f"matching size must be at least 1, got m={m} (m=0 is vacuous)")
@@ -138,6 +126,7 @@ def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
     edge_count = g.edge_count
     best_value = 0
     best_mask = 0
+    memo: dict[int, int] = {}
 
     def bb(i: int, chosen_mask: int, chosen_count: int):
         nonlocal best_value, best_mask
@@ -148,7 +137,7 @@ def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
             best_mask = chosen_mask
             return
         # include edge i unless it completes an m-matching among chosen edges
-        if not _exists_matching(chosen_mask & indep[i], m - 1, indep):
+        if _matching_number(chosen_mask & indep[i], indep, memo) < m - 1:
             bb(i + 1, chosen_mask | (1 << i), chosen_count + 1)
         bb(i + 1, chosen_mask, chosen_count)
 

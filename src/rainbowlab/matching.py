@@ -1,13 +1,12 @@
-"""Bipartite matching machinery: maximum matching, König covers, Hall-type
-deficiency witnesses, and matchings that saturate maximum-degree vertices.
+"""Maximum matching of a bipartite graph by augmenting paths.
 
-Everything here is deterministic: augmenting searches scan free vertices in
-increasing index order and try neighbors in edge-index order, so repeated
-runs on the same graph return identical certificates.  All functions require
-a bipartite graph and raise NonBipartiteError when ``g.bipartition`` is None,
-which happens exactly when the graph has an odd cycle (a Graph built without
-sides gets its canonical 2-coloring); the desk-scale exact matching for
-general graphs lives in rainbow.py instead.
+The search is deterministic: it scans free X vertices in increasing index
+order and tries neighbors in edge-index order, so repeated runs on the same
+graph return the same matching.  It requires a bipartite graph and raises
+NonBipartiteError when ``g.bipartition`` is None, which happens exactly when
+the graph has an odd cycle (a Graph built without sides gets its canonical
+2-coloring); the desk-scale exact matching number of general graphs lives in
+rainbow.py instead.
 """
 
 from __future__ import annotations
@@ -19,13 +18,7 @@ from .graphs import Graph
 
 __all__ = [
     "Matching",
-    "VertexCoverWitness",
-    "DeficiencyWitness",
     "maximum_matching",
-    "minimum_vertex_cover",
-    "deficiency_witness",
-    "saturating_matching",
-    "is_matching",
 ]
 
 
@@ -38,44 +31,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    def vertices(self, g: Graph) -> frozenset[int]:
-        out = set()
-        for i in self.edges:
-            u, v = g.edge(i)
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
-class VertexCoverWitness:
-    vertices: frozenset[int]
-    certified_size: int
-
-
-@dataclass(frozen=True)
-class DeficiencyWitness:
-    """A subset S of one side with |S| - |N(S)| equal to that side's deficiency.
-
-    side_swapped is True when the witness lives on the Y side because the
-    graph came in with |X| < |Y|.
-    """
-
-    subset: frozenset[int]
-    neighborhood: frozenset[int]
-    deficiency: int
-    side_swapped: bool = False
-
-
-def is_matching(g: Graph, edge_indices) -> bool:
-    seen: set[int] = set()
-    for i in edge_indices:
-        u, v = g.edge(i)
-        if u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True
 
 
 def _require_bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
@@ -96,23 +51,15 @@ def _augment(x: int, adj, partner: dict[int, int], visited: set[int]) -> bool:
     return False
 
 
-def _matching_pairs(g: Graph, stop_at: int | None = None) -> dict[int, int]:
-    """Partner map of a matching grown by augmenting paths from X in index order.
-
-    With stop_at=None this is a maximum matching; otherwise growth stops as
-    soon as the matching reaches stop_at edges.
-    """
+def _matching_pairs(g: Graph) -> dict[int, int]:
+    """Partner map of a maximum matching grown by augmenting paths from X in
+    index order."""
     x_side, _ = _require_bipartition(g)
     adj = g.adjacency()
     partner: dict[int, int] = {}
-    size = 0
     for x in sorted(x_side):
-        if stop_at is not None and size >= stop_at:
-            break
-        if x in partner:
-            continue
-        if _augment(x, adj, partner, set()):
-            size += 1
+        if x not in partner:
+            _augment(x, adj, partner, set())
     return partner
 
 
@@ -130,282 +77,3 @@ def _pairs_to_matching(g: Graph, partner: dict[int, int]) -> Matching:
 def maximum_matching(g: Graph) -> Matching:
     """Maximum matching of a bipartite graph via augmenting-path search."""
     return _pairs_to_matching(g, _matching_pairs(g))
-
-
-def _alternating_reach(g: Graph, left: frozenset[int], partner: dict[int, int]):
-    """Vertices reachable from unmatched left vertices by alternating paths
-    (unmatched edges leftward->rightward, matched edges rightward->leftward)."""
-    adj = g.adjacency()
-    reached_left = {v for v in left if v not in partner}
-    reached_right: set[int] = set()
-    frontier = sorted(reached_left)
-    while frontier:
-        next_frontier = []
-        for a in frontier:
-            for b, _ in adj[a]:
-                if b in reached_right:
-                    continue
-                reached_right.add(b)
-                back = partner.get(b)
-                if back is not None and back not in reached_left:
-                    reached_left.add(back)
-                    next_frontier.append(back)
-        frontier = sorted(next_frontier)
-    return reached_left, reached_right
-
-
-def minimum_vertex_cover(g: Graph) -> VertexCoverWitness:
-    """Minimum vertex cover of a bipartite graph by the König construction.
-
-    The cover is (X minus the alternating-reachable X vertices) plus the
-    alternating-reachable Y vertices; its size always equals the maximum
-    matching size, and the cover property is verified before returning.
-    """
-    x_side, y_side = _require_bipartition(g)
-    partner = _matching_pairs(g)
-    reached_x, reached_y = _alternating_reach(g, x_side, partner)
-    cover = frozenset((x_side - reached_x) | (y_side & reached_y))
-    matching_size = sum(1 for v in partner if v in x_side)
-    for u, v in g.edges:
-        if u not in cover and v not in cover:
-            raise AssertionError(f"König cover construction failed to cover edge ({u}, {v})")
-    if len(cover) != matching_size:
-        raise AssertionError(
-            f"König size mismatch: cover {len(cover)}, matching {matching_size}"
-        )
-    return VertexCoverWitness(cover, len(cover))
-
-
-def deficiency_witness(g: Graph) -> DeficiencyWitness:
-    """A set S on the larger side with |S| - |N(S)| = (side size) - (matching size).
-
-    When |X| < |Y| the roles are swapped transparently and the swap recorded.
-    S is the set of side-vertices reachable by alternating paths from the
-    unmatched ones; the complementary König cover N(S) ∪ (side - S) is
-    verified to cover the graph with exactly matching-size vertices.
-    """
-    x_side, y_side = _require_bipartition(g)
-    swapped = len(x_side) < len(y_side)
-    side, other = (y_side, x_side) if swapped else (x_side, y_side)
-    partner = _matching_pairs(g)
-    matching_size = sum(1 for v in partner if v in side)
-    reached_side, reached_other = _alternating_reach(g, side, partner)
-    subset = frozenset(reached_side)
-    neighborhood = frozenset().union(*(g.neighbors(v) for v in subset)) if subset else frozenset()
-    if neighborhood != frozenset(reached_other):
-        raise AssertionError("alternating reachability did not close under neighborhoods")
-    deficiency = len(subset) - len(neighborhood)
-    if deficiency != len(side) - matching_size:
-        raise AssertionError(
-            f"deficiency witness mismatch: |S|-|N(S)| = {deficiency}, "
-            f"side deficiency = {len(side) - matching_size}"
-        )
-    cover = neighborhood | (side - subset)
-    for u, v in g.edges:
-        if u not in cover and v not in cover:
-            raise AssertionError("deficiency cover misses an edge")
-    if len(cover) != matching_size:
-        raise AssertionError("deficiency cover is not minimum")
-    return DeficiencyWitness(subset, neighborhood, deficiency, swapped)
-
-
-# --- matchings saturating maximum-degree vertices ---------------------------
-
-
-def _special_vertices(g: Graph) -> frozenset[int]:
-    deg = g.degrees()
-    top = max(deg, default=0)
-    return frozenset(v for v in range(g.vertex_count) if deg[v] == top and top > 0)
-
-
-def _saturation(partner: dict[int, int], specials: frozenset[int]) -> int:
-    return sum(1 for v in specials if v in partner)
-
-
-def _eviction_walk(g: Graph, partner: dict[int, int], specials: frozenset[int]) -> bool:
-    """One pass of the degree-saturating exchange walk; True if it improved.
-
-    For each unsaturated maximum-degree vertex v (increasing index), grow the
-    alternating tree from v across matched edges.  The moment the tree
-    reaches a matched vertex w on v's side with non-maximum degree, shift
-    every matched edge along the tree path one step toward v: v becomes
-    matched, w becomes free, every other vertex keeps its saturation.  A
-    depth-one shift is the plain swap through a lower-degree partner; deeper
-    shifts are the recursive vertex-replacement walk.
-    """
-    adj = g.adjacency()
-    for v in sorted(specials):
-        if v in partner:
-            continue
-        parent: dict[int, tuple[int, int]] = {}  # tree vertex -> (previous same-side vertex, mid vertex)
-        visited = {v}
-        frontier = [v]
-        evict = None
-        while frontier and evict is None:
-            next_frontier = []
-            for a in frontier:
-                for mid, _ in adj[a]:
-                    b = partner.get(mid)
-                    if b is None or b in visited:
-                        continue
-                    visited.add(b)
-                    parent[b] = (a, mid)
-                    if b not in specials:
-                        evict = b
-                        break
-                    next_frontier.append(b)
-                if evict is not None:
-                    break
-            frontier = sorted(next_frontier)
-        if evict is None:
-            continue
-        rewires = []
-        node = evict
-        while node != v:
-            prev, mid = parent[node]
-            rewires.append((prev, mid))
-            node = prev
-        del partner[evict]
-        for prev, mid in rewires:
-            partner[mid] = prev
-            partner[prev] = mid
-        return True
-    return False
-
-
-def _deaugment_paths(g: Graph, partner: dict[int, int]):
-    """All alternating paths that start and end with a matched edge, as vertex
-    sequences v0, v1, ..., v_{2j+1} with (v0, v1) matched and (v_{2j}, v_{2j+1})
-    matched.  Unwinding one removes j+1 matched edges and restores j of the
-    skipped ones, freeing exactly the two endpoints."""
-    adj = g.adjacency()
-    out = []
-
-    def grow(path: list[int]):
-        if path[0] < path[-1]:  # canonical orientation; both ends are matched ends
-            out.append(tuple(path))
-        tail = path[-1]
-        on_path = set(path)
-        for mid, _ in adj[tail]:
-            if mid in on_path or partner.get(tail) == mid:
-                continue
-            nxt = partner.get(mid)
-            if nxt is None or nxt in on_path:
-                continue
-            path.extend((mid, nxt))
-            grow(path)
-            del path[-2:]
-
-    matched_pairs = sorted({tuple(sorted((a, b))) for a, b in partner.items()})
-    for a, b in matched_pairs:
-        grow([a, b])
-        grow([b, a])
-    out.sort(key=lambda p: (len(p), p))
-    return out
-
-
-def _apply_deaugment(partner: dict[int, int], path: tuple[int, ...]) -> None:
-    for v in path:
-        partner.pop(v, None)
-    # re-match the interior skipped pairs (v1,v2), (v3,v4), ...
-    for i in range(1, len(path) - 1, 2):
-        partner[path[i]] = path[i + 1]
-        partner[path[i + 1]] = path[i]
-
-
-def _best_augmenting_path(g: Graph, partner: dict[int, int], specials: frozenset[int]):
-    """Augmenting path whose two free endpoints carry the most maximum-degree
-    vertices; ties broken toward the lexicographically smallest endpoint pair.
-    Returns (gain, path) or None."""
-    x_side, _ = _require_bipartition(g)
-    adj = g.adjacency()
-    best = None
-    for start in sorted(x_side):
-        if start in partner:
-            continue
-        parent: dict[int, int] = {}
-        frontier = [start]
-        seen = {start}
-        free_ends = []
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for mid, _ in adj[a]:
-                    if mid in seen:
-                        continue
-                    seen.add(mid)
-                    parent[mid] = a
-                    back = partner.get(mid)
-                    if back is None:
-                        free_ends.append(mid)
-                    elif back not in seen:
-                        seen.add(back)
-                        parent[back] = mid
-                        nxt.append(back)
-            frontier = sorted(nxt)
-        for end in free_ends:
-            gain = (start in specials) + (end in specials)
-            key = (-gain, start, end)
-            if best is None or key < best[0]:
-                path = [end]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                best = (key, gain, tuple(reversed(path)))
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _apply_augment(partner: dict[int, int], path: tuple[int, ...]) -> None:
-    for i in range(0, len(path) - 1, 2):
-        partner[path[i]] = path[i + 1]
-        partner[path[i + 1]] = path[i]
-
-
-def _rebalance(g: Graph, partner: dict[int, int], specials: frozenset[int]) -> bool:
-    """One strict improvement that keeps the matching size: unwind some
-    alternating path between two matched endpoints, then re-augment wherever
-    that buys the most maximum-degree saturation.  Only relevant when the
-    target size is below the matching number; with a maximum matching there is
-    no augmenting path and this never fires."""
-    for path in _deaugment_paths(g, partner):
-        loss = (path[0] in specials) + (path[-1] in specials)
-        trial = dict(partner)
-        _apply_deaugment(trial, path)
-        found = _best_augmenting_path(g, trial, specials)
-        if found is None:
-            continue
-        gain, aug = found
-        if gain - loss > 0:
-            _apply_deaugment(partner, path)
-            _apply_augment(partner, aug)
-            return True
-    return False
-
-
-def saturating_matching(g: Graph, target_size: int) -> Matching | None:
-    """A matching of the given size saturating as many maximum-degree vertices
-    as possible, or None when the graph has no matching that large.
-
-    The search starts from a deterministically grown matching and repeats two
-    exchange moves until neither improves the count of saturated
-    maximum-degree vertices: the alternating eviction walk (trade a matched
-    lower-degree vertex for an unmatched maximum-degree one, shifting matched
-    edges along the connecting alternating path), and, when the target size
-    is below the matching number, a rebalance that unwinds one alternating
-    path and re-augments elsewhere.  At the matching number the walk alone is
-    complete: any strictly better matching differs along some alternating
-    path the walk can realize.
-    """
-    _require_bipartition(g)
-    if target_size < 1:
-        raise ValueError(f"target_size must be positive, got {target_size}")
-    if maximum_matching(g).size < target_size:
-        return None
-    specials = _special_vertices(g)
-    partner = _matching_pairs(g, stop_at=target_size)
-    while _eviction_walk(g, partner, specials) or _rebalance(g, partner, specials):
-        pass
-    result = _pairs_to_matching(g, partner)
-    assert result.size == target_size
-    return result

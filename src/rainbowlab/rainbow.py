@@ -1,9 +1,10 @@
 """Deciding whether an edge-colored graph contains a rainbow matching.
 
 The decision procedure is an exact backtracking search over edges in index
-order.  A second, independently coded oracle (enumerate_representative_choices)
-answers the same question by brute force over color subsets so the two can be
-cross-checked on small instances.
+order, pruned by the memoised exact matching number of the edges still
+available (_matching_number, which ext_exact's branch and bound shares).  The
+brute-force oracles it is cross-checked against live with the tests, in
+tests/helpers.py.
 
 Vertex sets are manipulated as bitmasks throughout; the graphs this package
 targets have at most a few dozen edges.
@@ -12,7 +13,6 @@ targets have at most a few dozen edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .colorings import Coloring
 from .graphs import Graph
@@ -21,12 +21,8 @@ from .matching import maximum_matching
 __all__ = [
     "RainbowWitness",
     "find_rainbow_matching",
-    "representative_subgraph",
-    "enumerate_representative_choices",
     "max_matching_size",
 ]
-
-REPRESENTATIVE_ORACLE_MAX_EDGES = 20
 
 
 @dataclass(frozen=True)
@@ -154,51 +150,3 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
         edges = tuple(j + 1 for j in chosen)
         return RainbowWitness(edges, tuple(colors[j] for j in chosen))
     return None
-
-
-def representative_subgraph(g: Graph, coloring: Coloring) -> Graph:
-    """Spanning subgraph keeping one edge per color: the smallest edge index
-    of each color class."""
-    if coloring.edge_count != g.edge_count:
-        raise ValueError(
-            f"coloring covers {coloring.edge_count} edges but graph has {g.edge_count}"
-        )
-    first_of_color: dict[int, int] = {}
-    for i, c in enumerate(coloring.assignment, start=1):
-        first_of_color.setdefault(c, i)
-    picked = sorted(first_of_color.values())
-    return Graph(g.vertex_count, tuple(g.edges[i - 1] for i in picked), g.bipartition)
-
-
-def enumerate_representative_choices(g: Graph, coloring: Coloring, m: int) -> bool:
-    """Independent rainbow-matching oracle: try every m-subset of colors and
-    every choice of one edge per chosen color, and report whether some choice
-    is pairwise disjoint.  Deliberately brute force; refuses graphs with more
-    than REPRESENTATIVE_ORACLE_MAX_EDGES edges."""
-    if m < 1:
-        raise ValueError(f"matching size must be positive, got {m}")
-    if coloring.edge_count != g.edge_count:
-        raise ValueError(
-            f"coloring covers {coloring.edge_count} edges but graph has {g.edge_count}"
-        )
-    if g.edge_count > REPRESENTATIVE_ORACLE_MAX_EDGES:
-        raise ValueError(
-            f"representative oracle is limited to {REPRESENTATIVE_ORACLE_MAX_EDGES} edges, "
-            f"got {g.edge_count}"
-        )
-    if m > coloring.color_count:
-        return False
-    classes = coloring.color_classes()
-    for color_subset in combinations(range(1, coloring.color_count + 1), m):
-        for choice in product(*(classes[c] for c in color_subset)):
-            touched: set[int] = set()
-            ok = True
-            for i in choice:
-                u, v = g.edge(i)
-                if u in touched or v in touched:
-                    ok = False
-                    break
-                touched.update((u, v))
-            if ok:
-                return True
-    return False

@@ -2,15 +2,19 @@
 
 Everything here is written the dumbest correct way (itertools over subsets),
 on purpose: these are the second route of every dual-route check, so they
-must not share logic with the implementations they gate.
+must not share logic with the implementations they gate.  That includes the
+representative-choice rainbow oracle (enumerate_representative_choices), the
+second route to find_rainbow_matching's answer on small colored graphs.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from rainbowlab import Graph
+
+REPRESENTATIVE_ORACLE_MAX_EDGES = 20
 
 
 def is_disjoint_edge_set(g: Graph, edge_indices) -> bool:
@@ -56,31 +60,30 @@ def brute_ext(g: Graph, m: int) -> int:
     return 0
 
 
-def brute_best_saturation(g: Graph, size: int) -> int:
-    """Most maximum-degree vertices any matching of the given size covers."""
-    deg = g.degrees()
-    top = max(deg)
-    specials = {v for v in range(g.vertex_count) if deg[v] == top}
-    best = -1
-    for combo in brute_matchings_of_size(g, size):
-        covered = set()
-        for i in combo:
-            covered.update(g.edge(i))
-        best = max(best, len(covered & specials))
-    return best
-
-
-def brute_deficiency(g: Graph, side) -> int:
-    """max over S of |S| - |N(S)|, enumerating every subset of the side."""
-    side = sorted(side)
-    best = 0
-    for size in range(len(side) + 1):
-        for subset in combinations(side, size):
-            neighborhood = set()
-            for v in subset:
-                neighborhood |= g.neighbors(v)
-            best = max(best, len(subset) - len(neighborhood))
-    return best
+def enumerate_representative_choices(g: Graph, coloring, m: int) -> bool:
+    """Rainbow-matching oracle: try every m-subset of colors and every choice
+    of one edge per chosen color, and report whether some choice is pairwise
+    disjoint.  Refuses graphs with more than REPRESENTATIVE_ORACLE_MAX_EDGES
+    edges."""
+    if m < 1:
+        raise ValueError(f"matching size must be positive, got {m}")
+    if coloring.edge_count != g.edge_count:
+        raise ValueError(
+            f"coloring covers {coloring.edge_count} edges but graph has {g.edge_count}"
+        )
+    if g.edge_count > REPRESENTATIVE_ORACLE_MAX_EDGES:
+        raise ValueError(
+            f"representative oracle is limited to {REPRESENTATIVE_ORACLE_MAX_EDGES} edges, "
+            f"got {g.edge_count}"
+        )
+    classes = {c: [] for c in range(1, coloring.color_count + 1)}
+    for i, c in enumerate(coloring.assignment, start=1):
+        classes[c].append(i)
+    for color_subset in combinations(sorted(classes), m):
+        for choice in product(*(classes[c] for c in color_subset)):
+            if is_disjoint_edge_set(g, choice):
+                return True
+    return False
 
 
 def random_bipartite(rng: random.Random, max_side: int = 6, p: float = 0.4) -> Graph:

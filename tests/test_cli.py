@@ -1,10 +1,21 @@
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from rainbowlab import Coloring, make_path, rb_exact, save_coloring
-from rainbowlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from rainbowlab import Coloring, cli, make_path, rb_exact, save_coloring
+from rainbowlab.cli import (
+    EXIT_BUDGET,
+    EXIT_CERTIFICATION,
+    EXIT_DISCREPANCY,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
+
+ALLOWLIST = Path(__file__).resolve().parent.parent / "known_discrepancies.allow"
 
 # The shared flags each subcommand reads; every other shared flag is rejected.
 HONOURED = {
@@ -100,3 +111,46 @@ def test_verify_records_do_not_depend_on_worker_count(capsys):
         outputs.append(records)
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "T3.5", "--n", "9..2"], ["monotonicity", "--m", "3..2"]],
+    ids=["verify_n", "monotonicity_m"],
+)
+def test_reversed_range_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "empty range" in capsys.readouterr().err
+
+
+def test_known_discrepancy_exits_3_unless_allowlisted(capsys):
+    argv = ["verify", "T3.6", "--n", "4", "--m", "2", "--format", "json"]
+    assert main(argv) == EXIT_DISCREPANCY
+    [record] = json.loads(capsys.readouterr().out)
+    assert record["status"] == "discrepancy" and record["acknowledged"] is False
+    assert main(argv + ["--allowlist", str(ALLOWLIST)]) == EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)
+    assert record["acknowledged"] is True
+
+
+@pytest.mark.parametrize("line", ["T3.6 colour=red", "T3.6 n4"], ids=["unknown_key", "no_equals"])
+def test_malformed_allowlist_is_a_usage_error(line, tmp_path, capsys):
+    allowlist = tmp_path / "bad.allow"
+    allowlist.write_text(line + "\n", encoding="utf-8")
+    assert main(["verify", "T3.6", "--n", "4", "--m", "2",
+                 "--allowlist", str(allowlist)]) == EXIT_USAGE
+    assert "allowlist" in capsys.readouterr().err
+
+
+def test_uncertified_construction_exits_4(monkeypatch, capsys):
+    real = cli.extremal_coloring_path_tight
+
+    def uncertified(n, m):
+        return dataclasses.replace(real(n, m), rainbow_free_certified=False)
+
+    monkeypatch.setattr(cli, "extremal_coloring_path_tight", uncertified)
+    assert main(["construct", "path_tight", "6", "3", "--format", "json"]) == EXIT_CERTIFICATION
+    [record] = json.loads(capsys.readouterr().out)
+    assert record["rainbow_free_certified"] is False

@@ -1,6 +1,6 @@
 import pytest
 
-from rainbowlab import Coloring, canonical_colorings, parse_coloring, split_color_class
+from rainbowlab import Coloring, canonical_colorings, parse_coloring
 from rainbowlab.colorings import format_coloring
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -11,11 +11,6 @@ def test_coloring_requires_surjectivity():
         Coloring((1, 3), 3)  # color 2 unused
     with pytest.raises(ValueError):
         Coloring((1, 2), 1)  # color 2 out of range
-
-
-def test_color_classes_ascending():
-    c = Coloring((1, 2, 1, 2), 2)
-    assert c.color_classes() == {1: [1, 3], 2: [2, 4]}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -35,21 +30,6 @@ def test_canonical_strings_are_restricted_growth():
         for color in c.assignment:
             assert color <= running_max + 1
             running_max = max(running_max, color)
-
-
-def test_split_color_class_refines():
-    c = Coloring((1, 1, 2, 1), 2)
-    refined = split_color_class(c, {2, 4})
-    assert refined.assignment == (1, 3, 2, 3)
-    assert refined.color_count == 3
-
-
-def test_split_rejects_whole_class_and_mixed_colors():
-    c = Coloring((1, 1, 2), 2)
-    with pytest.raises(ValueError):
-        split_color_class(c, {1, 2})  # would empty class 1
-    with pytest.raises(ValueError):
-        split_color_class(c, {1, 3})  # edges of different colors
 
 
 def test_file_round_trip():

@@ -6,21 +6,16 @@ from hypothesis import given, settings, strategies as st
 from rainbowlab import (
     Graph,
     NonBipartiteError,
-    deficiency_witness,
-    is_matching,
     make_circulant_regular_bipartite,
-    make_complete_bipartite,
     make_cycle,
     make_path,
     maximum_matching,
-    minimum_vertex_cover,
-    saturating_matching,
 )
+from rainbowlab.rainbow import _independence_masks, _matching_number
 from helpers import (
-    brute_best_saturation,
-    brute_deficiency,
     brute_matchings_of_size,
     brute_max_matching_size,
+    is_disjoint_edge_set,
     random_bipartite,
 )
 
@@ -33,7 +28,7 @@ def test_circulant_has_perfect_matching():
     g = make_circulant_regular_bipartite(5, 3)
     m = maximum_matching(g)
     assert m.size == 5
-    assert is_matching(g, m.edges)
+    assert is_disjoint_edge_set(g, m.edges)
     # brute force confirms some 5-edge independent set exists
     assert any(True for _ in brute_matchings_of_size(g, 5))
 
@@ -41,79 +36,30 @@ def test_circulant_has_perfect_matching():
 def test_empty_graph_matching():
     g = Graph(2, (), (frozenset({0}), frozenset({1})))
     assert maximum_matching(g).size == 0
-    assert minimum_vertex_cover(g).vertices == frozenset()
 
 
 def test_graph_built_without_sides_is_accepted():
     # an edge plus two isolated vertices, no sides given: bipartite all the same
     g = Graph(4, ((0, 1),))
     assert maximum_matching(g).size == 1
-    assert minimum_vertex_cover(g).vertices in (frozenset({0}), frozenset({1}))
 
 
 def test_rejects_non_bipartite():
     g = make_cycle(5)
     with pytest.raises(NonBipartiteError):
         maximum_matching(g)
-    with pytest.raises(NonBipartiteError):
-        minimum_vertex_cover(g)
-    with pytest.raises(NonBipartiteError):
-        deficiency_witness(g)
-    with pytest.raises(NonBipartiteError):
-        saturating_matching(g, 1)
-
-
-def test_path_cover():
-    g = make_path(4)
-    cover = minimum_vertex_cover(g)
-    assert cover.certified_size == 2
-    assert all(u in cover.vertices or v in cover.vertices for u, v in g.edges)
-
-
-def test_complete_bipartite_cover_is_one_side():
-    assert minimum_vertex_cover(make_complete_bipartite(3)).certified_size == 3
-
-
-def test_star_deficiency():
-    # three X vertices all pointing at one y
-    g = Graph(4, ((0, 3), (1, 3), (2, 3)), (frozenset({0, 1, 2}), frozenset({3})))
-    w = deficiency_witness(g)
-    assert w.subset == frozenset({0, 1, 2})
-    assert w.neighborhood == frozenset({3})
-    assert w.deficiency == 2
-    assert not w.side_swapped
-
-
-def test_perfect_matching_deficiency_zero():
-    assert deficiency_witness(make_complete_bipartite(3)).deficiency == 0
-
-
-def test_path_deficiency_on_larger_side():
-    g = make_path(4)  # X = even-index side, 3 vertices
-    w = deficiency_witness(g)
-    assert w.deficiency == 1
-    assert brute_deficiency(g, g.bipartition[0]) == 1
-
-
-def test_deficiency_swaps_small_x():
-    g = Graph(4, ((0, 1), (0, 2), (0, 3)), (frozenset({0}), frozenset({1, 2, 3})))
-    w = deficiency_witness(g)
-    assert w.side_swapped
-    assert w.deficiency == 2  # Y side has 3 vertices, matching size 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10_000))
 def test_konig_duality_random(seed):
+    # two independent routes to the matching number: augmenting paths and the
+    # memoised exact branching of rainbow.py
     g = random_bipartite(random.Random(seed))
     matching = maximum_matching(g)
-    cover = minimum_vertex_cover(g)
-    assert matching.size == cover.certified_size
-    assert is_matching(g, matching.edges)
-    witness = deficiency_witness(g)
-    side = g.bipartition[1] if witness.side_swapped else g.bipartition[0]
-    assert witness.deficiency == len(side) - matching.size
-    assert witness.deficiency == brute_deficiency(g, side)
+    assert is_disjoint_edge_set(g, matching.edges)
+    indep = _independence_masks(g.edge_vertex_masks())
+    assert matching.size == _matching_number((1 << g.edge_count) - 1, indep, {})
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,60 +69,3 @@ def test_matching_size_matches_brute_force(seed):
     if g.edge_count > 12:
         return
     assert maximum_matching(g).size == brute_max_matching_size(g)
-
-
-# --- saturating matchings ----------------------------------------------------
-
-
-def test_saturating_path():
-    g = make_path(4)
-    m = saturating_matching(g, 2)
-    covered = m.vertices(g)
-    assert {1, 2, 3} <= covered  # all degree-2 vertices
-
-
-def test_saturating_regular_all_vertices_special():
-    g = make_circulant_regular_bipartite(4, 3)
-    m = saturating_matching(g, 3)
-    assert m.size == 3
-    assert len(m.vertices(g)) == 6
-    assert brute_best_saturation(g, 3) == 6
-
-
-def test_saturating_not_found_without_matching():
-    g = Graph(2, (), (frozenset({0}), frozenset({1})))
-    assert saturating_matching(g, 1) is None
-
-
-def test_saturating_rejects_bad_target():
-    with pytest.raises(ValueError):
-        saturating_matching(make_path(3), 0)
-
-
-def test_saturating_walk_reaches_through_special_chain():
-    # x0's only way in is evicting through a chain of maximum-degree vertices;
-    # the rebalance move must re-augment x1 out to its free neighbor.
-    edges = ((0, 4), (0, 5), (1, 4), (1, 6), (2, 5), (2, 7), (3, 8))
-    g = Graph(9, edges, (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7, 8})))
-    m = saturating_matching(g, 3)
-    deg = g.degrees()
-    top = max(deg)
-    specials = {v for v in range(g.vertex_count) if deg[v] == top}
-    assert len(m.vertices(g) & specials) == brute_best_saturation(g, 3)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 10_000))
-def test_saturating_matches_brute_optimum(seed):
-    g = random_bipartite(random.Random(seed), max_side=5, p=0.45)
-    if not 1 <= g.edge_count <= 14:
-        return
-    nu = maximum_matching(g).size
-    deg = g.degrees()
-    top = max(deg)
-    specials = {v for v in range(g.vertex_count) if deg[v] == top}
-    for target in range(1, nu + 1):
-        m = saturating_matching(g, target)
-        assert m is not None and m.size == target and is_matching(g, m.edges)
-        assert len(m.vertices(g) & specials) == brute_best_saturation(g, target)
-    assert saturating_matching(g, nu + 1) is None
