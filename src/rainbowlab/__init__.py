@@ -22,7 +22,7 @@ from .constructions import (
     extremal_coloring_path_tight,
     extremal_coloring_regular,
 )
-from .errors import BudgetExceededError, NonBipartiteError, RainbowLabError
+from .errors import BudgetExceededError, RainbowLabError
 from .extremal import (
     DEFAULT_EDGE_BUDGET,
     DISPUTED_CYCLE_CASES,
@@ -40,7 +40,6 @@ from .extremal import (
 )
 from .graphs import (
     Graph,
-    Identification,
     identify_vertices,
     load_graph,
     make_circulant_regular_bipartite,
@@ -51,7 +50,6 @@ from .graphs import (
     parse_graph,
     save_graph,
 )
-from .matching import Matching, maximum_matching
 from .rainbow import RainbowWitness, find_rainbow_matching, max_matching_size
 from .verify import (
     THEOREM_IDS,

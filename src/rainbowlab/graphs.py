@@ -12,12 +12,11 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 __all__ = [
     "Graph",
-    "Identification",
     "make_path",
     "make_cycle",
     "make_complete_bipartite",
@@ -100,27 +99,9 @@ class Graph:
                 out.add(a)
         return out
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge_index) in edge-index order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for i, (u, v) in enumerate(self.edges, start=1):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        return adj
-
     def edge_vertex_masks(self) -> list[int]:
         """Bitmask of the two endpoints of each edge, in edge order."""
         return [(1 << u) | (1 << v) for u, v in self.edges]
-
-
-@dataclass(frozen=True)
-class Identification:
-    """Result of merging two vertices: the new graph, where each old vertex
-    went, and the id of the merged vertex."""
-
-    graph: Graph
-    vertex_map: dict[int, int] = field(hash=False)
-    merged_vertex: int = 0
 
 
 def make_path(n: int) -> Graph:
@@ -247,7 +228,7 @@ def _two_color(vertex_count: int, edges: Iterable[tuple[int, int]]):
     )
 
 
-def identify_vertices(g: Graph, u: int, v: int) -> Identification:
+def identify_vertices(g: Graph, u: int, v: int) -> Graph:
     """Merge two non-adjacent vertices with disjoint neighborhoods into one.
 
     The merged vertex takes the id min(u, v); ids above max(u, v) shift down
@@ -276,10 +257,8 @@ def identify_vertices(g: Graph, u: int, v: int) -> Identification:
             return keep
         return w - 1 if w > drop else w
 
-    vertex_map = {w: relabel(w) for w in range(g.vertex_count)}
     new_edges = tuple((relabel(a), relabel(b)) for a, b in g.edges)
-    merged = Graph(g.vertex_count - 1, new_edges)
-    return Identification(merged, vertex_map, relabel(keep))
+    return Graph(g.vertex_count - 1, new_edges)
 
 
 # --- file format ------------------------------------------------------------

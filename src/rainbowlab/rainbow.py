@@ -1,13 +1,16 @@
 """Deciding whether an edge-colored graph contains a rainbow matching.
 
 The decision procedure is an exact backtracking search over edges in index
-order, pruned by the memoised exact matching number of the edges still
-available (_matching_number, which ext_exact's branch and bound shares).  The
-brute-force oracles it is cross-checked against live with the tests, in
-tests/helpers.py.
-
-Vertex sets are manipulated as bitmasks throughout; the graphs this package
-targets have at most a few dozen edges.
+order.  Edge sets are int bitmasks: indep[i] holds the edges sharing no vertex
+with edge i, and one mask per color holds that color's edges.  The search is
+pruned by the color count and by the memoised exact matching number
+(_matching_number) of the edges still available.  _matching_number is the
+package's one matching-number routine: max_matching_size, ext_exact's branch
+and bound and this search all use it.  rb_exact's prune kernel
+(extremal._exists_rainbow) walks the same bitmasks without these prunes or a
+witness, because it runs millions of times per search on few edges.  The
+brute-force oracles the search is cross-checked against live with the tests,
+in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 
 from .colorings import Coloring
 from .graphs import Graph
-from .matching import maximum_matching
 
 __all__ = [
     "RainbowWitness",
@@ -43,9 +45,12 @@ class RainbowWitness:
         return len(self.edges)
 
     def verify(self, g: Graph, coloring: Coloring) -> bool:
-        """Re-check the witness against its host graph and coloring."""
+        """Re-check the witness against its host graph and coloring.  An edge
+        index outside either of them fails the check."""
         touched: set[int] = set()
         for i, c in zip(self.edges, self.colors):
+            if not 1 <= i <= min(g.edge_count, coloring.edge_count):
+                return False
             u, v = g.edge(i)
             if u in touched or v in touched:
                 return False
@@ -83,10 +88,8 @@ def _matching_number(active: int, indep: list[int], memo: dict[int, int]) -> int
 
 
 def max_matching_size(g: Graph) -> int:
-    """Matching number of any graph: augmenting paths when bipartite, exact
-    branching otherwise."""
-    if g.bipartition is not None:
-        return maximum_matching(g).size
+    """Matching number of any graph, bipartite or not, by _matching_number over
+    all of its edges."""
     indep = _independence_masks(g.edge_vertex_masks())
     return _matching_number((1 << g.edge_count) - 1, indep, {})
 
@@ -94,12 +97,12 @@ def max_matching_size(g: Graph) -> int:
 def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitness | None:
     """Exact decision: a rainbow matching of size m, or None if there is none.
 
-    Backtracks over edges in ascending index order, skipping edges that touch
-    a used vertex or repeat a used color.  Two admissible prunes cut the
-    tree: the maximum matching size of the still-available edges, and the
-    number of still-available distinct colors.  The returned witness is the
-    lexicographically smallest edge-index sequence, so results are stable
-    across runs.
+    Backtracks over edges in ascending index order.  A node's `avail` bitmask
+    holds the later edges that share no vertex with a chosen edge and repeat
+    no chosen color.  Two admissible prunes cut the tree: the number of
+    distinct colors in avail, and the matching number of avail.  The returned
+    witness is the lexicographically smallest edge-index sequence, so results
+    are stable across runs.
     """
     if m < 1:
         raise ValueError(f"matching size must be positive, got {m}")
@@ -107,46 +110,34 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
         raise ValueError(
             f"coloring covers {coloring.edge_count} edges but graph has {g.edge_count}"
         )
-    if m > max_matching_size(g):
-        return None
-    vmasks = g.edge_vertex_masks()
     colors = coloring.assignment
-    edge_count = g.edge_count
-    indep = _independence_masks(vmasks)
-    matching_memo: dict[int, int] = {}
-
-    def available_matching_bound(start: int, used_vertices: int) -> int:
-        active = 0
-        for j in range(start, edge_count):
-            if not vmasks[j] & used_vertices:
-                active |= 1 << j
-        return _matching_number(active, indep, matching_memo)
-
+    indep = _independence_masks(g.edge_vertex_masks())
+    color_masks = [0] * (coloring.color_count + 1)
+    for j, c in enumerate(colors):
+        color_masks[c] |= 1 << j
+    memo: dict[int, int] = {}
     chosen: list[int] = []
 
-    def search(start: int, used_vertices: int, used_colors: frozenset[int]) -> bool:
-        if len(chosen) == m:
+    def search(avail: int, need: int) -> bool:
+        if need == 0:
             return True
-        need = m - len(chosen)
-        remaining_colors = {
-            colors[j]
-            for j in range(start, edge_count)
-            if colors[j] not in used_colors and not vmasks[j] & used_vertices
-        }
-        if len(remaining_colors) < need:
+        # distinct colors in avail, counted up to need
+        rest, distinct = avail, 0
+        while rest and distinct < need:
+            rest &= ~color_masks[colors[(rest & -rest).bit_length() - 1]]
+            distinct += 1
+        if distinct < need or _matching_number(avail, indep, memo) < need:
             return False
-        if available_matching_bound(start, used_vertices) < need:
-            return False
-        for j in range(start, edge_count):
-            if vmasks[j] & used_vertices or colors[j] in used_colors:
-                continue
+        while avail:
+            low = avail & -avail
+            j = low.bit_length() - 1
+            avail ^= low
             chosen.append(j)
-            if search(j + 1, used_vertices | vmasks[j], used_colors | {colors[j]}):
+            if search(avail & indep[j] & ~color_masks[colors[j]], need - 1):
                 return True
             chosen.pop()
         return False
 
-    if search(0, 0, frozenset()):
-        edges = tuple(j + 1 for j in chosen)
-        return RainbowWitness(edges, tuple(colors[j] for j in chosen))
+    if search((1 << g.edge_count) - 1, m):
+        return RainbowWitness(tuple(j + 1 for j in chosen), tuple(colors[j] for j in chosen))
     return None

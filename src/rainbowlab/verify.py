@@ -12,7 +12,7 @@ output ordered by instance key.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from multiprocessing import get_context
 
 from .errors import BudgetExceededError
@@ -75,13 +75,6 @@ class VerificationRecord:
         if isinstance(self.claimed, tuple):
             d["claimed"] = list(self.claimed)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationRecord":
-        d = dict(d)
-        if isinstance(d.get("claimed"), list):
-            d["claimed"] = tuple(d["claimed"])
-        return cls(**d)
 
 
 def _build_regular(family: str, n: int, k: int, seed: int | None) -> Graph:
@@ -158,7 +151,7 @@ def _run_instance(task: tuple) -> VerificationRecord:
 
         if theorem_id == "T3.2/C3.3":
             path = make_path(n)
-            cycle = identify_vertices(path, 0, n).graph
+            cycle = identify_vertices(path, 0, n)
             rb_path = rb_exact(path, m, edge_budget=edge_budget,
                                timeout_ms=timeout_ms).rb_value
             rb_cycle = rb_exact(cycle, m, edge_budget=edge_budget,
@@ -269,7 +262,7 @@ def _random_identification_records(samples: int, seed: int, edge_budget: int,
         g = make_path(n)
         u, v = rng.sample(range(g.vertex_count), 2)
         try:
-            merged = identify_vertices(g, u, v).graph
+            merged = identify_vertices(g, u, v)
         except ValueError:
             continue
         m = 2

@@ -4,7 +4,10 @@ Everything here is written the dumbest correct way (itertools over subsets),
 on purpose: these are the second route of every dual-route check, so they
 must not share logic with the implementations they gate.  That includes the
 representative-choice rainbow oracle (enumerate_representative_choices), the
-second route to find_rainbow_matching's answer on small colored graphs.
+second route to find_rainbow_matching's answer on small colored graphs.  The
+augmenting-path matching size is not brute force, but it shares nothing with
+the bitmask branching of max_matching_size, so it checks that routine on
+graphs too large for brute force.
 """
 
 from __future__ import annotations
@@ -46,6 +49,35 @@ def brute_has_rainbow_matching(g: Graph, coloring, m: int) -> bool:
         if len(set(colors)) == m:
             return True
     return False
+
+
+def brute_first_rainbow_matching(g: Graph, coloring, m: int):
+    """The lexicographically first m-edge rainbow matching, as (edges, colors),
+    or None."""
+    for combo in brute_matchings_of_size(g, m):
+        colors = tuple(coloring.color_of(i) for i in combo)
+        if len(set(colors)) == m:
+            return combo, colors
+    return None
+
+
+def augmenting_path_matching_size(g: Graph) -> int:
+    """Matching number of a bipartite graph by augmenting paths from each X
+    vertex (Kuhn's algorithm)."""
+    x_side, _ = g.bipartition
+    neighbors = {x: [v if u == x else u for u, v in g.edges if x in (u, v)] for x in x_side}
+    partner: dict[int, int] = {}
+
+    def augment(x: int, seen: set[int]) -> bool:
+        for y in neighbors[x]:
+            if y not in seen:
+                seen.add(y)
+                if y not in partner or augment(partner[y], seen):
+                    partner[y] = x
+                    return True
+        return False
+
+    return sum(augment(x, set()) for x in sorted(x_side))
 
 
 def brute_ext(g: Graph, m: int) -> int:

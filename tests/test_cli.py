@@ -93,6 +93,29 @@ def test_rb_honours_its_budget_and_timeout(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)[0]["rb_value"] == 6
 
 
+def test_check_prints_the_witness_of_a_planted_coloring(files, capsys):
+    graph, coloring = files
+    assert main(["check", graph, coloring, "3"]) == EXIT_OK
+    assert capsys.readouterr().out == "witness edges=e1,e3,e5 colors=1,3,2\n"
+
+
+def test_check_prints_none_on_a_construction_coloring(tmp_path, capsys):
+    graph, coloring = str(tmp_path / "p9.txt"), str(tmp_path / "p9.col")
+    assert main(["gen", "path", "9", "--out", graph]) == EXIT_OK
+    assert main(["construct", "path_tight", "9", "4", "--out", coloring]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check", graph, coloring, "4"]) == EXIT_OK
+    assert capsys.readouterr().out == "none\n"
+
+
+def test_check_rejects_a_coloring_of_another_edge_count(files, tmp_path, capsys):
+    graph, _ = files
+    coloring = tmp_path / "short.col"
+    save_coloring(Coloring((1, 2, 1, 2, 1), 2), coloring)
+    assert main(["check", graph, str(coloring), "2"]) == EXIT_USAGE
+    assert "coloring covers 5 edges but graph has 6" in capsys.readouterr().err
+
+
 def test_construct_json_has_no_duplicate_bound_column(capsys):
     assert main(["construct", "path_simple", "5", "3", "--format", "json"]) == EXIT_OK
     [record] = json.loads(capsys.readouterr().out)

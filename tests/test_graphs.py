@@ -149,17 +149,17 @@ def test_graph_rejects_non_crossing_bipartition():
 
 def test_identify_path_ends_gives_cycle():
     g = make_path(4)
-    result = identify_vertices(g, 0, 4)
-    h = result.graph
+    h = identify_vertices(g, 0, 4)
     assert h.edge_count == 4
     assert h.vertex_count == 4
     assert all(d == 2 for d in h.degrees())
-    assert result.vertex_map[0] == result.vertex_map[4] == result.merged_vertex
+    # vertex 4 merges into vertex 0, and edge order is kept
+    assert h.edges == ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
 def test_identify_isolated_vertices_keeps_edges():
     g = Graph(4, ((0, 1),))
-    h = identify_vertices(g, 2, 3).graph
+    h = identify_vertices(g, 2, 3)
     assert h.edges == ((0, 1),)
     assert h.vertex_count == 3
 
@@ -197,7 +197,7 @@ def test_identify_preserves_edge_count_and_simplicity(item):
     if item is None:
         return
     g, (u, v) = item
-    h = identify_vertices(g, u, v).graph  # Graph validates no loops/duplicates
+    h = identify_vertices(g, u, v)  # Graph validates no loops/duplicates
     assert h.edge_count == g.edge_count
     assert h.vertex_count == g.vertex_count - 1
 
@@ -216,7 +216,7 @@ def test_identify_preserves_edge_count_and_simplicity(item):
         make_circulant_regular_bipartite(4, 3),
         make_random_regular_bipartite(5, 2, 11),
         Graph(3, ()),
-        identify_vertices(make_path(4), 0, 4).graph,
+        identify_vertices(make_path(4), 0, 4),
     ],
 )
 def test_round_trip_is_identity(g):

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowlab import (
     Coloring,
+    Graph,
+    RainbowWitness,
     canonical_colorings,
     ext_exact,
     find_rainbow_matching,
@@ -14,7 +17,9 @@ from rainbowlab import (
     extremal_coloring_regular,
 )
 from helpers import (
+    brute_first_rainbow_matching,
     brute_has_rainbow_matching,
+    brute_max_matching_size,
     enumerate_representative_choices,
     random_bipartite,
 )
@@ -56,6 +61,31 @@ def test_witness_verifies_against_host():
     c = Coloring((1, 2, 3, 1, 2, 3), 3)
     w = find_rainbow_matching(g, c, 3)
     assert w is not None and w.verify(g, c)
+
+
+def test_witness_with_edge_index_outside_the_graph_fails_verification():
+    g, c = make_path(2), Coloring((1, 1), 1)
+    assert not RainbowWitness((0,), (1,)).verify(g, c)
+    assert not RainbowWitness((3,), (1,)).verify(g, c)
+    assert not RainbowWitness((1, 4), (1, 2)).verify(make_path(4), Coloring((1, 2), 2))
+    assert RainbowWitness((2,), (1,)).verify(g, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000))
+def test_witness_is_lexicographically_first_rainbow_matching(seed):
+    # random graphs with at most 10 edges, bipartite or not, every m up to nu + 1
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, tuple(rng.sample(pairs, rng.randint(1, min(10, len(pairs))))))
+    t = rng.randint(1, g.edge_count)
+    assignment = [rng.randint(1, t) for _ in range(g.edge_count)]
+    remap = {c: i + 1 for i, c in enumerate(sorted(set(assignment)))}
+    c = Coloring(tuple(remap[a] for a in assignment), len(remap))
+    for m in range(1, brute_max_matching_size(g) + 2):
+        w = find_rainbow_matching(g, c, m)
+        assert (None if w is None else (w.edges, w.colors)) == brute_first_rainbow_matching(g, c, m)
 
 
 def test_max_matching_size_non_bipartite():
