@@ -10,7 +10,6 @@ disagreement it finds.
 
 from .colorings import (
     Coloring,
-    canonical_colorings,
     load_coloring,
     parse_coloring,
     save_coloring,

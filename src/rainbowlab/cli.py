@@ -4,8 +4,7 @@ Subcommands: gen, rb, ext, check, construct, verify, monotonicity.
 Exit codes: 0 success, 1 precondition or parse error, 2 budget refusal,
 3 unacknowledged discrepancy (verify, monotonicity), 4 failed certification
 (construct).  Each subcommand accepts only the flags it reads; an unknown flag
-is a parse error.  RAINBOWLAB_WORKERS sets the default --workers of verify and
-monotonicity, the only subcommands that take it.
+is a parse error.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -86,23 +84,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("RAINBOWLAB_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-_SWEEP_FLAGS = ("--format", "--out", "--workers", "--seed", "--budget-edges", "--timeout-ms",
-                "--allowlist")
+_SWEEP_FLAGS = ("--format", "--out", "--seed", "--budget-edges", "--timeout-ms", "--allowlist")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     specs = {
         "--format": dict(choices=("table", "json", "csv"), default="table"),
         "--out": dict(type=Path, default=None, metavar="FILE"),
-        "--workers": dict(type=int, default=_default_workers(), metavar="N"),
         "--seed": dict(type=int, default=0, metavar="S"),
         "--budget-edges": dict(type=int, default=DEFAULT_EDGE_BUDGET, metavar="N"),
         "--timeout-ms": dict(type=float, default=None, metavar="MS"),
@@ -164,6 +152,13 @@ def build_parser() -> _Parser:
 # --- output helpers -----------------------------------------------------------
 
 
+def _write_text(path: Path | None, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+
+
 def _emit(rows: list[dict], columns: list[str], fmt: str, out: Path | None) -> None:
     if fmt == "table":
         text = _format_table(rows, columns)
@@ -176,10 +171,7 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: Path | None) -> N
         for row in rows:
             writer.writerow({key: _plain(row.get(key)) for key in columns})
         text = buf.getvalue()
-    if out is not None:
-        out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(out, text)
 
 
 def _plain(value):
@@ -210,13 +202,6 @@ def _cell(value) -> str:
 
 
 # --- graph file metadata --------------------------------------------------------
-
-
-def _write_text(path: Path | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
 
 
 def _read_metadata(path: Path) -> dict:
@@ -387,16 +372,14 @@ def _finish_records(records, args) -> int:
 def _cmd_verify(args) -> int:
     records = verify_theorem(args.theorem, n_range=args.n, k_range=args.k,
                              m_range=args.m, samples=args.samples, seed=args.seed,
-                             edge_budget=args.budget_edges, workers=args.workers,
-                             timeout_ms=args.timeout_ms)
+                             edge_budget=args.budget_edges, timeout_ms=args.timeout_ms)
     return _finish_records(records, args)
 
 
 def _cmd_monotonicity(args) -> int:
     records = monotonicity_records(n_range=args.n, m_range=args.m,
                                    samples=args.samples, seed=args.seed,
-                                   edge_budget=args.budget_edges, workers=args.workers,
-                                   timeout_ms=args.timeout_ms)
+                                   edge_budget=args.budget_edges, timeout_ms=args.timeout_ms)
     return _finish_records(records, args)
 
 

@@ -1,21 +1,18 @@
-"""Edge colorings, the canonical (restricted-growth) enumeration, and file I/O.
+"""Edge colorings and their file I/O.
 
 A coloring assigns every edge of a host graph one color from 1..t, and every
 color is used at least once.  Rainbow-freeness is invariant under renaming
-colors, so exhaustive searches only ever enumerate canonical colorings:
-restricted-growth strings, where edge i may use a color at most one larger
-than the maximum color on earlier edges.  That quotients out all t!
-permutations of each color partition.
+colors, so the exhaustive search in extremal.py only builds canonical
+colorings: restricted-growth strings, where edge i may use a color at most one
+larger than the maximum color on earlier edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "Coloring",
-    "canonical_colorings",
     "parse_coloring",
     "format_coloring",
     "load_coloring",
@@ -52,29 +49,10 @@ class Coloring:
         return len(self.assignment)
 
     def color_of(self, edge_index: int) -> int:
+        """The color of edge ``edge_index`` (1-based)."""
+        if not 1 <= edge_index <= len(self.assignment):
+            raise IndexError(f"edge index {edge_index} out of range 1..{len(self.assignment)}")
         return self.assignment[edge_index - 1]
-
-
-def canonical_colorings(edge_count: int, max_colors: int | None = None) -> Iterator[Coloring]:
-    """All canonical colorings of edge_count edges, optionally capped at max_colors.
-
-    Yields restricted-growth strings in lexicographic order; every surjective
-    coloring is color-isomorphic to exactly one string yielded here.
-    """
-    if edge_count < 1:
-        raise ValueError("need at least one edge to color")
-    cap = edge_count if max_colors is None else min(max_colors, edge_count)
-    assignment = [0] * edge_count
-
-    def extend(i: int, t: int) -> Iterator[Coloring]:
-        if i == edge_count:
-            yield Coloring(tuple(assignment), t)
-            return
-        for c in range(1, min(t + 1, cap) + 1):
-            assignment[i] = c
-            yield from extend(i + 1, max(t, c))
-
-    yield from extend(0, 0)
 
 
 # --- file format ------------------------------------------------------------

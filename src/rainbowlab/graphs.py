@@ -3,8 +3,7 @@
 Edges are stored in a fixed order and addressed 1-based (edge ``i`` is
 ``edges[i - 1]``), because every construction and certificate in this package
 is defined in terms of the i-th edge of a path, cycle, or regular bipartite
-graph.  Graphs are immutable after construction and safe to share between
-workers.
+graph.  Graphs are immutable after construction.
 """
 
 from __future__ import annotations

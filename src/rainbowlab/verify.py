@@ -1,19 +1,18 @@
 """Claim-verification sweeps: exhaustive oracles vs closed-form claims.
 
-Each registered claim identifier (T2.3 .. T3.6) names one formula or bound
-family together with the instance grid it is checked on.  A sweep produces
-one VerificationRecord per instance; discrepancies are first-class outputs,
-never silently dropped, and can only be acknowledged through an explicit
-allowlist.  Sweeps are deterministic given (ranges, samples, seed) and
-instances are independent, so they parallelize across a worker pool with
-output ordered by instance key.
+Each claim identifier (T2.3 .. T3.6) is one entry of a table that pairs the
+instance grid it is checked on with the check run on each cell.  A sweep
+produces one VerificationRecord per cell, in grid order; discrepancies are
+first-class outputs, never silently dropped, and can only be acknowledged
+through an explicit allowlist.  Sweeps are deterministic given (ranges,
+samples, seed).
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, asdict
-from multiprocessing import get_context
 
 from .errors import BudgetExceededError
 from .extremal import (
@@ -22,7 +21,6 @@ from .extremal import (
     ext_formula_regular,
     rb_bounds_regular,
     rb_exact,
-    rb_formula_complete_bipartite,
     rb_formula_cycle,
     rb_formula_path,
     rb_formula_regular,
@@ -46,8 +44,6 @@ __all__ = [
     "apply_allowlist",
     "summarize",
 ]
-
-THEOREM_IDS = ("T2.3", "T2.4", "T2.5", "T3.1", "T3.2/C3.3", "T3.4", "T3.5", "T3.6")
 
 STATUS_MATCH = "match"
 STATUS_WITHIN_BOUNDS = "within_bounds"
@@ -77,182 +73,170 @@ class VerificationRecord:
         return d
 
 
-def _build_regular(family: str, n: int, k: int, seed: int | None) -> Graph:
-    if family == "circulant":
-        return make_circulant_regular_bipartite(n, k)
-    return make_random_regular_bipartite(n, k, seed if seed is not None else 0)
-
-
-def _regular_realizations(samples: int, seed: int):
-    """Realization descriptors for a claim quantified over all k-regular
-    bipartite graphs: the deterministic circulant plus seeded random draws."""
-    out: list[tuple[str, int | None]] = [("circulant", None)]
-    for i in range(max(0, samples - 1)):
-        out.append(("random_regular", seed + i))
-    return out
-
-
 def _span(rng: tuple[int, int] | None, default: tuple[int, int]) -> range:
     lo, hi = rng if rng is not None else default
     return range(lo, hi + 1)
 
 
-def _compare_exact(oracle: int, claimed: int) -> str:
-    return STATUS_MATCH if oracle == claimed else STATUS_DISCREPANCY
+# --- instance grids: (n_range, k_range, m_range, samples, seed) -> cells ------
+#
+# A cell is (family, n, k, m, seed); each one becomes one VerificationRecord.
 
 
-def _compare_bounds(oracle: int, lo: int | None, hi: int | None) -> str:
-    if lo is not None and oracle < lo:
-        return STATUS_DISCREPANCY
-    if hi is not None and oracle > hi:
-        return STATUS_DISCREPANCY
-    return STATUS_WITHIN_BOUNDS
+def _regular_grid(n_range, k_range, m_range, samples: int, seed: int):
+    """Cells of a claim quantified over all k-regular bipartite graphs: the
+    circulant plus samples - 1 seeded random draws per (n, k, m)."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1 (the circulant), got {samples}")
+    realizations = [("circulant", None)] + [("random_regular", seed + i)
+                                            for i in range(samples - 1)]
+    for n in _span(n_range, (3, 5)):
+        for k in _span(k_range, (2, n)):
+            for m in _span(m_range, (2, 3)):
+                if k <= n and 2 <= m <= n:
+                    for family, s in realizations:
+                        yield family, n, k, m, s
 
 
-def _run_instance(task: tuple) -> VerificationRecord:
-    """Evaluate one (theorem, instance) cell.  Top-level so worker pools can
-    dispatch it."""
-    (theorem_id, family, n, k, m, seed, edge_budget, timeout_ms) = task
-    started = time.perf_counter()
+def _edge_count_grid(family: str, n_default: tuple[int, int], m_top):
+    """Cells over a path or cycle with n edges and 2 <= m <= m_top(n)."""
 
-    def done(oracle, claimed, status, note=""):
-        return VerificationRecord(
-            theorem_id, family, n, k, m, seed, oracle, claimed, status,
-            (time.perf_counter() - started) * 1000.0, note,
-        )
+    def grid(n_range, k_range, m_range, samples, seed):
+        for n in _span(n_range, n_default):
+            for m in _span(m_range, (2, m_top(n))):
+                if 2 <= m <= m_top(n):
+                    yield family, n, None, m, None
 
-    try:
-        if theorem_id == "T2.3":
-            g = _build_regular(family, n, k, seed)
-            claimed = ext_formula_regular(n, k, m)
-            oracle = ext_exact(g, m).value
-            return done(oracle, claimed, _compare_exact(oracle, claimed))
-
-        if theorem_id == "T2.4":
-            g = _build_regular(family, n, k, seed)
-            lo, hi = rb_bounds_regular(n, k, m)
-            oracle = rb_exact(g, m, edge_budget=edge_budget, timeout_ms=timeout_ms).rb_value
-            return done(oracle, (lo, hi), _compare_bounds(oracle, lo, hi))
-
-        if theorem_id == "T2.5":
-            claimed = rb_formula_regular(n, k, m)
-            if claimed is None:
-                return done(None, None, STATUS_NOT_APPLICABLE,
-                            "needs k >= 3 and n > 3(m-1)")
-            g = _build_regular(family, n, k, seed)
-            oracle = rb_exact(g, m, edge_budget=edge_budget, timeout_ms=timeout_ms).rb_value
-            return done(oracle, claimed, _compare_exact(oracle, claimed))
-
-        if theorem_id == "T3.1":
-            oracle = rb_exact(make_path(n), m, edge_budget=edge_budget,
-                              timeout_ms=timeout_ms).rb_value
-            bounds = (2 * m - 2, 2 * m - 1)
-            return done(oracle, bounds, _compare_bounds(oracle, *bounds))
-
-        if theorem_id == "T3.2/C3.3":
-            path = make_path(n)
-            cycle = identify_vertices(path, 0, n)
-            rb_path = rb_exact(path, m, edge_budget=edge_budget,
-                               timeout_ms=timeout_ms).rb_value
-            rb_cycle = rb_exact(cycle, m, edge_budget=edge_budget,
-                                timeout_ms=timeout_ms).rb_value
-            status = STATUS_MATCH if rb_path <= rb_cycle else STATUS_DISCREPANCY
-            return done(rb_path, (None, rb_cycle), status,
-                        "path value must not exceed the identified-cycle value")
-
-        if theorem_id == "T3.4":
-            oracle = rb_exact(make_cycle(n), m, edge_budget=edge_budget,
-                              timeout_ms=timeout_ms).rb_value
-            bounds = (2 * m - 2, 2 * m - 1)
-            return done(oracle, bounds, _compare_bounds(oracle, *bounds))
-
-        if theorem_id == "T3.5":
-            claimed = rb_formula_path(n, m)
-            oracle = rb_exact(make_path(n), m, edge_budget=edge_budget,
-                              timeout_ms=timeout_ms).rb_value
-            return done(oracle, claimed, _compare_exact(oracle, claimed))
-
-        if theorem_id == "T3.6":
-            formula = rb_formula_cycle(n, m)
-            oracle = rb_exact(make_cycle(n), m, edge_budget=edge_budget,
-                              timeout_ms=timeout_ms).rb_value
-            note = "formula cell flagged as disputed" if formula.disputed else ""
-            return done(oracle, formula.value, _compare_exact(oracle, formula.value), note)
-
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    except BudgetExceededError as exc:
-        return done(None, None, STATUS_NOT_APPLICABLE, f"budget refusal: {exc}")
+    return grid
 
 
-def _instances(theorem_id: str, n_range, k_range, m_range, samples: int, seed: int,
-               edge_budget: int, timeout_ms) -> list[tuple]:
-    tasks: list[tuple] = []
-    if theorem_id in ("T2.3", "T2.4", "T2.5"):
-        for n in _span(n_range, (3, 5)):
-            for k in _span(k_range, (2, n)):
-                if k > n:
-                    continue
-                for m in _span(m_range, (2, 3)):
-                    if not 2 <= m <= n:
-                        continue
-                    for family, s in _regular_realizations(samples, seed):
-                        tasks.append((theorem_id, family, n, k, m, s,
-                                      edge_budget, timeout_ms))
-    elif theorem_id in ("T3.1", "T3.5"):
-        for n in _span(n_range, (2, 9)):
-            for m in _span(m_range, (2, (n + 1) // 2)):
-                if not 2 <= m <= (n + 1) // 2:
-                    continue
-                tasks.append((theorem_id, "path", n, None, m, None,
-                              edge_budget, timeout_ms))
-    elif theorem_id == "T3.2/C3.3":
-        for n in _span(n_range, (3, 8)):
-            for m in _span(m_range, (2, n // 2)):
-                if not 2 <= m <= n // 2:
-                    continue
-                tasks.append((theorem_id, "path_vs_cycle", n, None, m, None,
-                              edge_budget, timeout_ms))
-    elif theorem_id in ("T3.4", "T3.6"):
-        for n in _span(n_range, (3, 9)):
-            for m in _span(m_range, (2, n // 2)):
-                if not 2 <= m <= n // 2:
-                    continue
-                tasks.append((theorem_id, "cycle", n, None, m, None,
-                              edge_budget, timeout_ms))
-    else:
-        raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
-    return tasks
+_path_grid = _edge_count_grid("path", (2, 9), lambda n: (n + 1) // 2)
+_path_vs_cycle_grid = _edge_count_grid("path_vs_cycle", (3, 8), lambda n: n // 2)
+_cycle_grid = _edge_count_grid("cycle", (3, 9), lambda n: n // 2)
+
+
+# --- checks: (rb, family, n, k, m, seed) -> (oracle, claimed, status, note) ----
+#
+# rb(g, m) is the sweep's budgeted rb_exact.  Library functions are looked up
+# when a check runs, so wrappers installed on this module see every call.
+
+
+def _graph(family: str, n: int, k: int | None, seed: int | None) -> Graph:
+    if family == "path":
+        return make_path(n)
+    if family == "cycle":
+        return make_cycle(n)
+    if family == "circulant":
+        return make_circulant_regular_bipartite(n, k)
+    return make_random_regular_bipartite(n, k, seed)
+
+
+def _exact(claimed: int, oracle: int, note: str = ""):
+    return oracle, claimed, STATUS_MATCH if oracle == claimed else STATUS_DISCREPANCY, note
+
+
+def _within(bounds: tuple[int, int], oracle: int):
+    inside = bounds[0] <= oracle <= bounds[1]
+    return oracle, bounds, STATUS_WITHIN_BOUNDS if inside else STATUS_DISCREPANCY, ""
+
+
+def _check_ext_regular(rb, family, n, k, m, seed):
+    g = _graph(family, n, k, seed)
+    return _exact(ext_formula_regular(n, k, m), ext_exact(g, m).value)
+
+
+def _check_rb_bounds_regular(rb, family, n, k, m, seed):
+    g = _graph(family, n, k, seed)
+    return _within(rb_bounds_regular(n, k, m), rb(g, m))
+
+
+def _check_rb_regular(rb, family, n, k, m, seed):
+    claimed = rb_formula_regular(n, k, m)
+    if claimed is None:
+        return None, None, STATUS_NOT_APPLICABLE, "needs k >= 3 and n > 3(m-1)"
+    return _exact(claimed, rb(_graph(family, n, k, seed), m))
+
+
+def _check_rb_2m_bounds(rb, family, n, k, m, seed):
+    return _within((2 * m - 2, 2 * m - 1), rb(_graph(family, n, k, seed), m))
+
+
+def _check_path_vs_cycle(rb, family, n, k, m, seed):
+    path = make_path(n)
+    cycle = identify_vertices(path, 0, n)
+    rb_path, rb_cycle = rb(path, m), rb(cycle, m)
+    status = STATUS_MATCH if rb_path <= rb_cycle else STATUS_DISCREPANCY
+    return (rb_path, (None, rb_cycle), status,
+            "path value must not exceed the identified-cycle value")
+
+
+def _check_rb_path(rb, family, n, k, m, seed):
+    return _exact(rb_formula_path(n, m), rb(_graph(family, n, k, seed), m))
+
+
+def _check_rb_cycle(rb, family, n, k, m, seed):
+    formula = rb_formula_cycle(n, m)
+    note = "formula cell flagged as disputed" if formula.disputed else ""
+    return _exact(formula.value, rb(_graph(family, n, k, seed), m), note)
+
+
+# Claim id -> (instance grid, check), in the order the CLI lists them.
+_CLAIMS = {
+    "T2.3": (_regular_grid, _check_ext_regular),
+    "T2.4": (_regular_grid, _check_rb_bounds_regular),
+    "T2.5": (_regular_grid, _check_rb_regular),
+    "T3.1": (_path_grid, _check_rb_2m_bounds),
+    "T3.2/C3.3": (_path_vs_cycle_grid, _check_path_vs_cycle),
+    "T3.4": (_cycle_grid, _check_rb_2m_bounds),
+    "T3.5": (_path_grid, _check_rb_path),
+    "T3.6": (_cycle_grid, _check_rb_cycle),
+}
+
+THEOREM_IDS = tuple(_CLAIMS)
 
 
 def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
                    samples: int = 5, seed: int = 0,
-                   edge_budget: int = DEFAULT_EDGE_BUDGET, workers: int = 1,
+                   edge_budget: int = DEFAULT_EDGE_BUDGET,
                    timeout_ms: float | None = None) -> list[VerificationRecord]:
-    """Sweep one claim over its instance grid and return one record per cell."""
-    tasks = _instances(theorem_id, n_range, k_range, m_range, samples, seed,
-                       edge_budget, timeout_ms)
-    if workers > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(workers) as pool:
-            return pool.map(_run_instance, tasks)
-    return [_run_instance(t) for t in tasks]
+    """Sweep one claim over its instance grid and return one record per cell.
+    A cell the search refuses is a not_applicable record, never an error."""
+    if theorem_id not in _CLAIMS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
+    grid, check = _CLAIMS[theorem_id]
+
+    def rb(g: Graph, m: int) -> int:
+        return rb_exact(g, m, edge_budget=edge_budget, timeout_ms=timeout_ms).rb_value
+
+    records: list[VerificationRecord] = []
+    for cell in grid(n_range, k_range, m_range, samples, seed):
+        started = time.perf_counter()
+        try:
+            oracle, claimed, status, note = check(rb, *cell)
+        except BudgetExceededError as exc:
+            oracle, claimed, status, note = (None, None, STATUS_NOT_APPLICABLE,
+                                             f"budget refusal: {exc}")
+        records.append(VerificationRecord(
+            theorem_id, *cell, oracle, claimed, status,
+            (time.perf_counter() - started) * 1000.0, note,
+        ))
+    return records
 
 
 def monotonicity_records(*, n_range=None, m_range=None, samples: int = 5, seed: int = 0,
-                         edge_budget: int = DEFAULT_EDGE_BUDGET, workers: int = 1,
+                         edge_budget: int = DEFAULT_EDGE_BUDGET,
                          timeout_ms: float | None = None) -> list[VerificationRecord]:
     """Identification monotonicity: closing a path into a cycle never lowers
     the rainbow number, plus seeded random identifications on small graphs."""
     records = verify_theorem("T3.2/C3.3", n_range=n_range, m_range=m_range,
                              samples=samples, seed=seed, edge_budget=edge_budget,
-                             workers=workers, timeout_ms=timeout_ms)
+                             timeout_ms=timeout_ms)
     records.extend(_random_identification_records(samples, seed, edge_budget, timeout_ms))
     return records
 
 
 def _random_identification_records(samples: int, seed: int, edge_budget: int,
                                    timeout_ms) -> list[VerificationRecord]:
-    import random
-
     rng = random.Random(seed)
     records: list[VerificationRecord] = []
     trials = 0
@@ -325,25 +309,17 @@ def apply_allowlist(records: list[VerificationRecord], entries: list[dict]) -> N
                 break
 
 
+_SUMMARY_KEYS = {STATUS_MATCH: "matches", STATUS_WITHIN_BOUNDS: "within_bounds",
+                 STATUS_DISCREPANCY: "discrepancies"}
+
+
 def summarize(records: list[VerificationRecord]) -> dict:
-    counts = {
-        "matches": 0,
-        "within_bounds": 0,
-        "discrepancies": 0,
-        "acknowledged": 0,
-        "not_applicable": 0,
-    }
+    counts = dict.fromkeys(("matches", "within_bounds", "discrepancies", "acknowledged",
+                            "not_applicable"), 0)
     for record in records:
-        if record.status == STATUS_MATCH:
-            counts["matches"] += 1
-        elif record.status == STATUS_WITHIN_BOUNDS:
-            counts["within_bounds"] += 1
-        elif record.status == STATUS_DISCREPANCY:
-            counts["discrepancies"] += 1
-            if record.acknowledged:
-                counts["acknowledged"] += 1
-        else:
-            counts["not_applicable"] += 1
+        counts[_SUMMARY_KEYS.get(record.status, "not_applicable")] += 1
+        if record.status == STATUS_DISCREPANCY and record.acknowledged:
+            counts["acknowledged"] += 1
     return counts
 
 

@@ -4,18 +4,21 @@ Everything here is written the dumbest correct way (itertools over subsets),
 on purpose: these are the second route of every dual-route check, so they
 must not share logic with the implementations they gate.  That includes the
 representative-choice rainbow oracle (enumerate_representative_choices), the
-second route to find_rainbow_matching's answer on small colored graphs.  The
-augmenting-path matching size is not brute force, but it shares nothing with
-the bitmask branching of max_matching_size, so it checks that routine on
-graphs too large for brute force.
+second route to find_rainbow_matching's answer on small colored graphs, and
+the enumeration of every canonical coloring (canonical_colorings), the second
+route to rb_exact's pruned search.  The augmenting-path matching size is not
+brute force, but it shares nothing with the bitmask branching of
+max_matching_size, so it checks that routine on graphs too large for brute
+force.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from typing import Iterator
 
-from rainbowlab import Graph
+from rainbowlab import Coloring, Graph
 
 REPRESENTATIVE_ORACLE_MAX_EDGES = 20
 
@@ -28,6 +31,29 @@ def is_disjoint_edge_set(g: Graph, edge_indices) -> bool:
             return False
         touched.update((u, v))
     return True
+
+
+def canonical_colorings(edge_count: int, max_colors: int | None = None) -> Iterator[Coloring]:
+    """All canonical colorings of edge_count edges, optionally capped at max_colors.
+
+    Yields restricted-growth strings (edge i may use a color at most one larger
+    than the maximum color on earlier edges) in lexicographic order; every
+    surjective coloring is color-isomorphic to exactly one string yielded here.
+    """
+    if edge_count < 1:
+        raise ValueError("need at least one edge to color")
+    cap = edge_count if max_colors is None else min(max_colors, edge_count)
+    assignment = [0] * edge_count
+
+    def extend(i: int, t: int) -> Iterator[Coloring]:
+        if i == edge_count:
+            yield Coloring(tuple(assignment), t)
+            return
+        for c in range(1, min(t + 1, cap) + 1):
+            assignment[i] = c
+            yield from extend(i + 1, max(t, c))
+
+    yield from extend(0, 0)
 
 
 def brute_matchings_of_size(g: Graph, size: int):

@@ -24,10 +24,9 @@ HONOURED = {
     "ext": {"--format", "--out"},
     "check": set(),
     "construct": {"--format", "--out"},
-    "verify": {"--format", "--out", "--workers", "--seed", "--budget-edges",
-               "--timeout-ms", "--allowlist"},
-    "monotonicity": {"--format", "--out", "--workers", "--seed", "--budget-edges",
-                     "--timeout-ms", "--allowlist"},
+    "verify": {"--format", "--out", "--seed", "--budget-edges", "--timeout-ms", "--allowlist"},
+    "monotonicity": {"--format", "--out", "--seed", "--budget-edges", "--timeout-ms",
+                     "--allowlist"},
 }
 # Options that belong to one subcommand's own arguments, not to the shared set.
 OWN_OPTIONS = {"--help", "--n", "--k", "--m", "--samples"}
@@ -59,8 +58,9 @@ def test_help_lists_exactly_the_honoured_flags(command, capsys):
         (["ext", "{graph}", "2"], ["--timeout-ms", "5"]),
         (["check", "{graph}", "{coloring}", "2"], ["--format", "json"]),
         (["construct", "path_simple", "5", "3"], ["--budget-edges", "20"]),
+        (["verify", "T3.5", "--n", "2..3"], ["--workers", "2"]),
     ],
-    ids=["gen", "rb", "ext", "check", "construct"],
+    ids=["gen", "rb", "ext", "check", "construct", "verify"],
 )
 def test_unhonoured_flag_is_a_usage_error(args, flag, files, capsys):
     graph, coloring = files
@@ -123,17 +123,13 @@ def test_construct_json_has_no_duplicate_bound_column(capsys):
     assert record["colors_used"] == 3
 
 
-def test_verify_records_do_not_depend_on_worker_count(capsys):
-    outputs = []
-    for workers in ("1", "2"):
-        code = main(["verify", "T3.5", "--n", "2..8", "--format", "json", "--workers", workers])
-        assert code == EXIT_OK
-        records = json.loads(capsys.readouterr().out)
-        for record in records:
-            del record["elapsed_ms"]
-        outputs.append(records)
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0]) > 1
+def test_regular_claim_without_samples_is_a_usage_error(capsys):
+    assert main(["verify", "T2.4", "--samples", "0"]) == EXIT_USAGE
+    assert "samples must be at least 1" in capsys.readouterr().err
+    # monotonicity reads --samples 0 as "no random identifications"
+    assert main(["monotonicity", "--samples", "0", "--format", "json"]) == EXIT_OK
+    families = {record["family"] for record in json.loads(capsys.readouterr().out)}
+    assert families == {"path_vs_cycle"}
 
 
 @pytest.mark.parametrize(

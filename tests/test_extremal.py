@@ -5,7 +5,6 @@ from rainbowlab import (
     BudgetExceededError,
     Coloring,
     Graph,
-    canonical_colorings,
     ext_exact,
     ext_formula_regular,
     find_rainbow_matching,
@@ -23,6 +22,7 @@ from rainbowlab import (
     verify_theorem,
 )
 from helpers import (
+    canonical_colorings,
     brute_ext,
     brute_has_rainbow_matching,
     brute_max_matching_size,

@@ -7,7 +7,6 @@ from rainbowlab import (
     Coloring,
     Graph,
     RainbowWitness,
-    canonical_colorings,
     ext_exact,
     find_rainbow_matching,
     make_circulant_regular_bipartite,
@@ -17,6 +16,7 @@ from rainbowlab import (
     extremal_coloring_regular,
 )
 from helpers import (
+    canonical_colorings,
     brute_first_rainbow_matching,
     brute_has_rainbow_matching,
     brute_max_matching_size,

@@ -1,0 +1,65 @@
+import re
+
+import pytest
+
+from rainbowlab import THEOREM_IDS, monotonicity_records, verify_theorem
+from rainbowlab.cli import main
+
+# Records of each claim on its default grid: T2.x sweep n = 3..5, k = 2..n,
+# m = 2..3 with m <= n and 5 realizations; T3.1/T3.5 paths with 2..9 edges,
+# T3.4/T3.6 cycles with 3..9 edges, T3.2/C3.3 paths with 3..8 edges.
+DEFAULT_GRID_SIZE = {
+    "T2.3": 90,
+    "T2.4": 90,
+    "T2.5": 90,
+    "T3.1": 16,
+    "T3.2/C3.3": 9,
+    "T3.4": 12,
+    "T3.5": 16,
+    "T3.6": 12,
+}
+
+
+def test_every_claim_has_a_default_grid():
+    assert set(DEFAULT_GRID_SIZE) == set(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_default_grid_record_count(theorem_id):
+    records = verify_theorem(theorem_id)
+    assert len(records) == DEFAULT_GRID_SIZE[theorem_id]
+    assert {r.theorem_id for r in records} == {theorem_id}
+
+
+def test_monotonicity_default_record_count():
+    records = monotonicity_records()
+    assert len(records) == 9 + 5
+    assert [r.family for r in records[9:]] == ["random_identification"] * 5
+
+
+def test_default_t24_refuses_exactly_the_cells_over_the_edge_budget():
+    records = verify_theorem("T2.4")
+    refused = [r for r in records if r.note.startswith("budget refusal:")]
+    assert len(refused) == 20
+    assert all(r.status == "not_applicable" and r.oracle_value is None for r in refused)
+    assert all(r.n * r.k > 16 for r in refused)
+
+
+def test_unknown_claim_id_lists_the_known_ones():
+    with pytest.raises(ValueError) as exc:
+        verify_theorem("T9.9")
+    assert all(theorem_id in str(exc.value) for theorem_id in THEOREM_IDS)
+
+
+def test_regular_grid_rejects_fewer_than_one_sample():
+    with pytest.raises(ValueError, match="samples"):
+        verify_theorem("T2.4", samples=0)
+
+
+def test_verify_help_lists_exactly_the_claim_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    positional = capsys.readouterr().out.split("positional arguments:")[1]
+    choices = re.search(r"\{([^}]*)\}", positional).group(1)
+    assert tuple(choices.split(",")) == THEOREM_IDS
