@@ -302,6 +302,7 @@ def _cmd_ext(args) -> int:
         "value": result.value,
         "method": result.method,
         "witness_edges": sorted(result.witness_edges),
+        "cover": sorted(result.cover) if result.cover is not None else None,
     }
     _emit([record], list(record.keys()), args.format, args.out)
     return EXIT_OK

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
 from typing import NamedTuple
 
 from .colorings import Coloring
@@ -55,11 +55,13 @@ DISPUTED_CYCLE_CASES = frozenset({(4, 2)})
 @dataclass(frozen=True)
 class ExtResult:
     """Largest m-matching-free edge subset: its size, one attaining subset,
-    and which search produced it."""
+    which search produced it and, on the cover route, the at most m-1
+    vertices whose incident edges are that subset (None otherwise)."""
 
     value: int
     witness_edges: frozenset[int]
     method: str  # "cover_based" | "branch_and_bound"
+    cover: frozenset[int] | None
 
 
 @dataclass(frozen=True)
@@ -84,17 +86,27 @@ class CycleFormula(NamedTuple):
 def ext_exact(g: Graph, m: int) -> ExtResult:
     """Maximum number of edges of a subgraph of g with no matching of size m.
 
-    Bipartite graphs are solved through the cover identity: an edge set has
-    no m-matching exactly when some m-1 vertices cover it, so the answer is
-    the best edge count over all (m-1)-vertex subsets.  Non-bipartite graphs
-    fall back to branch and bound over edge subsets, testing each inclusion
-    with the memoised exact matching number, and are refused above
-    NONBIPARTITE_EXT_MAX_EDGES edges.
+    Bipartite graphs are solved through the cover identity (Koenig): an edge
+    set has no m-matching exactly when some m-1 vertices cover it, so the
+    answer is the most edges that m-1 vertices touch.  A depth-first branch
+    and bound picks the vertices in increasing order, keeping the incident
+    edges of the picked ones as a bitmask; a node with j picks left among
+    vertices v and above is cut when its covered edges plus the j largest
+    degrees among those vertices cannot beat the best count.  Only a
+    strictly larger count replaces the best, and ties are cut, so the result
+    is the lexicographically first (m-1)-subset of maximum coverage, the one
+    a scan of every subset in order would return.  `cover` holds it and
+    `witness_edges` its incident edges; with m-1 >= |V| the cover is every
+    vertex, and with m = 1 it is empty.
+
+    Non-bipartite graphs fall back to branch and bound over edge subsets,
+    testing each inclusion with the memoised exact matching number, and are
+    refused above NONBIPARTITE_EXT_MAX_EDGES edges; their `cover` is None.
     """
     if m < 1:
         raise ValueError(f"matching size must be at least 1, got m={m} (m=0 is vacuous)")
     if m == 1:
-        return ExtResult(0, frozenset(), "cover_based")
+        return ExtResult(0, frozenset(), "cover_based", frozenset())
     if g.bipartition is not None:
         return _ext_cover_based(g, m)
     if g.edge_count > NONBIPARTITE_EXT_MAX_EDGES:
@@ -106,18 +118,40 @@ def ext_exact(g: Graph, m: int) -> ExtResult:
 
 
 def _ext_cover_based(g: Graph, m: int) -> ExtResult:
-    cover_size = m - 1
-    if cover_size >= g.vertex_count:
-        return ExtResult(g.edge_count, frozenset(range(1, g.edge_count + 1)), "cover_based")
+    vertex_count = g.vertex_count
+    cover_size = min(m - 1, vertex_count)
+    incident = [0] * vertex_count  # incident[v]: bitmask of the edges at v
+    for i, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    degrees = [mask.bit_count() for mask in incident]
+    top = []  # top[v][j]: sum of the j largest degrees among vertices v, v+1, ...
+    for v in range(vertex_count):
+        largest = sorted(degrees[v:], reverse=True)[:cover_size]
+        top.append(list(accumulate(largest, initial=0)))
     best_value = -1
-    best_edges: frozenset[int] = frozenset()
-    for subset in combinations(range(g.vertex_count), cover_size):
-        chosen = set(subset)
-        incident = [i for i, (u, v) in enumerate(g.edges, start=1) if u in chosen or v in chosen]
-        if len(incident) > best_value:
-            best_value = len(incident)
-            best_edges = frozenset(incident)
-    return ExtResult(best_value, best_edges, "cover_based")
+    best_mask = 0
+    best_cover: tuple[int, ...] = ()
+    chosen: list[int] = []
+
+    def extend(v: int, need: int, covered: int):
+        nonlocal best_value, best_mask, best_cover
+        count = covered.bit_count()
+        if need == 0:
+            if count > best_value:
+                best_value, best_mask, best_cover = count, covered, tuple(chosen)
+            return
+        for u in range(v, vertex_count - need + 1):
+            # top[u][need] only shrinks as u grows, so no later u can do better
+            if count + top[u][need] <= best_value:
+                return
+            chosen.append(u)
+            extend(u + 1, need - 1, covered | incident[u])
+            chosen.pop()
+
+    extend(0, cover_size, 0)
+    witness = frozenset(j + 1 for j in range(g.edge_count) if best_mask >> j & 1)
+    return ExtResult(best_value, witness, "cover_based", frozenset(best_cover))
 
 
 def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
@@ -143,7 +177,7 @@ def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
 
     bb(0, 0, 0)
     witness = frozenset(j + 1 for j in range(edge_count) if best_mask >> j & 1)
-    return ExtResult(best_value, witness, "branch_and_bound")
+    return ExtResult(best_value, witness, "branch_and_bound", None)
 
 
 def ext_formula_regular(n: int, k: int, m: int) -> int:

@@ -4,12 +4,13 @@ Everything here is written the dumbest correct way (itertools over subsets),
 on purpose: these are the second route of every dual-route check, so they
 must not share logic with the implementations they gate.  That includes the
 representative-choice rainbow oracle (enumerate_representative_choices), the
-second route to find_rainbow_matching's answer on small colored graphs, and
-the enumeration of every canonical coloring (canonical_colorings), the second
-route to rb_exact's pruned search.  The augmenting-path matching size is not
-brute force, but it shares nothing with the bitmask branching of
-max_matching_size, so it checks that routine on graphs too large for brute
-force.
+second route to find_rainbow_matching's answer on small colored graphs, the
+enumeration of every canonical coloring (canonical_colorings), the second
+route to rb_exact's pruned search, and the scan of every (m-1)-vertex subset
+(brute_cover_ext), the second route to ext_exact's cover branch and bound.
+The augmenting-path matching size is not brute force, but it shares nothing
+with the bitmask branching of max_matching_size, so it checks that routine on
+graphs too large for brute force.
 """
 
 from __future__ import annotations
@@ -116,6 +117,22 @@ def brute_ext(g: Graph, m: int) -> int:
             ):
                 return size
     return 0
+
+
+def brute_cover_ext(g: Graph, m: int) -> tuple[int, frozenset[int]]:
+    """ext(g, m) of a bipartite graph by the cover identity, scanning every
+    (m-1)-vertex subset in order: the most edges some m-1 vertices touch,
+    and the edges of the first subset that touches that many."""
+    cover_size = min(m - 1, g.vertex_count)
+    best_value = -1
+    best_edges: frozenset[int] = frozenset()
+    for subset in combinations(range(g.vertex_count), cover_size):
+        chosen = set(subset)
+        incident = [i for i, (u, v) in enumerate(g.edges, start=1) if u in chosen or v in chosen]
+        if len(incident) > best_value:
+            best_value = len(incident)
+            best_edges = frozenset(incident)
+    return best_value, best_edges
 
 
 def enumerate_representative_choices(g: Graph, coloring, m: int) -> bool:

@@ -83,6 +83,22 @@ def test_rb_json_reports_value_and_node_count(files, capsys):
     assert record["agrees"] is True
 
 
+def test_ext_json_reports_the_cover(tmp_path, capsys):
+    path, cycle = str(tmp_path / "p6.txt"), str(tmp_path / "c5.txt")
+    assert main(["gen", "path", "6", "--out", path]) == EXIT_OK
+    assert main(["gen", "cycle", "5", "--out", cycle]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["ext", path, "3", "--format", "json"]) == EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)
+    assert (record["value"], record["method"]) == (4, "cover_based")
+    assert record["witness_edges"] == [1, 2, 3, 4]
+    assert record["cover"] == [1, 3]
+    # the odd cycle takes the branch-and-bound route, which has no cover
+    assert main(["ext", cycle, "2", "--format", "json"]) == EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)
+    assert (record["method"], record["cover"]) == ("branch_and_bound", None)
+
+
 def test_rb_honours_its_budget_and_timeout(tmp_path, capsys):
     graph = str(tmp_path / "p14.txt")
     assert main(["gen", "path", "14", "--out", graph]) == EXIT_OK

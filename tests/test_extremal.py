@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from rainbowlab import (
     make_complete_bipartite,
     make_cycle,
     make_path,
+    make_random_regular_bipartite,
     max_matching_size,
     rb_bounds_regular,
     rb_exact,
@@ -23,10 +26,12 @@ from rainbowlab import (
 )
 from helpers import (
     canonical_colorings,
+    brute_cover_ext,
     brute_ext,
     brute_has_rainbow_matching,
     brute_max_matching_size,
     is_disjoint_edge_set,
+    random_bipartite,
 )
 
 
@@ -116,6 +121,67 @@ def test_ext_consistency_small_sweep():
             g = make_circulant_regular_bipartite(n, k)
             for m in range(2, n + 1):
                 assert ext_exact(g, m).value == k * (m - 1), (n, k, m)
+
+
+@pytest.mark.parametrize(
+    ("g", "m", "value"),
+    [
+        (make_complete_bipartite(12), 7, 72),
+        (make_complete_bipartite(12), 13, 144),
+        (make_circulant_regular_bipartite(16, 5), 5, 20),
+    ],
+    ids=["K12,12_m7", "K12,12_m13", "circulant(16,5)_m5"],
+)
+def test_ext_pinned_cells(g, m, value):
+    assert ext_exact(g, m).value == value
+
+
+def test_ext_k12_12_witness_is_the_first_six_x_vertices():
+    result = ext_exact(make_complete_bipartite(12), 7)
+    assert result.cover == frozenset(range(6))
+    assert result.witness_edges == frozenset(range(1, 73))
+
+
+def test_ext_cover_at_the_ends_of_the_m_range():
+    g = make_path(3)  # 4 vertices
+    assert ext_exact(g, 1).cover == frozenset()
+    for m in (5, 6):  # m-1 >= |V|: every vertex, every edge
+        result = ext_exact(g, m)
+        assert (result.value, result.cover) == (3, frozenset(range(4)))
+    assert ext_exact(make_cycle(5), 2).cover is None
+
+
+@st.composite
+def cover_route_graph(draw):
+    """A bipartite graph with its vertices relabelled at random: an irregular
+    one from random_bipartite (isolated vertices, several components or no
+    edges at all), or a random k-regular one, whose degrees all tie."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        g = random_bipartite(random.Random(seed), max_side=draw(st.integers(1, 6)),
+                             p=draw(st.sampled_from((0.2, 0.4, 0.6, 0.8))))
+    else:
+        n = draw(st.integers(1, 6))
+        g = make_random_regular_bipartite(n, draw(st.integers(1, n)), seed)
+    label = draw(st.permutations(range(g.vertex_count)))
+    x_side, y_side = g.bipartition
+    return Graph(g.vertex_count, tuple((label[u], label[v]) for u, v in g.edges),
+                 (frozenset(label[v] for v in x_side), frozenset(label[v] for v in y_side)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_route_graph())
+def test_ext_cover_route_matches_the_scan_of_every_subset(g):
+    for m in range(2, g.vertex_count + 2):
+        result = ext_exact(g, m)
+        value, witness = brute_cover_ext(g, m)
+        assert (result.value, result.witness_edges, result.method) == (
+            value, witness, "cover_based"), (g.edges, m)
+        # the certificate: at most m-1 vertices whose edges are the witness
+        assert len(result.cover) <= m - 1
+        assert result.witness_edges == frozenset(
+            i for i, (u, v) in enumerate(g.edges, start=1)
+            if u in result.cover or v in result.cover)
 
 
 # --- rb exact -----------------------------------------------------------------
