@@ -55,10 +55,8 @@ def extremal_coloring_regular(g: Graph, m: int) -> ConstructionReport:
     """
     if g.bipartition is None:
         raise ValueError("regular construction requires a bipartite graph")
-    x_side, y_side = g.bipartition
-    degrees = g.degrees()
-    active = [degrees[v] for v in range(g.vertex_count)]
-    distinct = set(active)
+    y_side = g.bipartition[1]
+    distinct = set(g.degrees())
     if len(distinct) != 1:
         raise ValueError(f"graph is not regular: degrees {sorted(distinct)}")
     n = len(y_side)

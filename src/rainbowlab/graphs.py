@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 __all__ = [
@@ -37,15 +37,14 @@ class Graph:
 
     vertex_count: vertices are 0 .. vertex_count - 1.
     edges: ordered pairs; the pair at position i - 1 is edge i (1-based).
-    bipartition: (X, Y) with X and Y disjoint, covering all vertices, and
-        every edge crossing between them.  When omitted it is derived as the
-        canonical BFS 2-coloring (lowest vertex of each component in X), so
-        None means exactly that the graph has an odd cycle.
+    bipartition: derived, never passed: the canonical BFS 2-coloring (X, Y)
+        with the lowest vertex of each component in X, or None exactly when
+        the graph has an odd cycle.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    bipartition: tuple[frozenset[int], frozenset[int]] | None = None
+    bipartition: tuple[frozenset[int], frozenset[int]] | None = field(init=False)
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -60,17 +59,7 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-        if self.bipartition is None:
-            object.__setattr__(self, "bipartition", _two_color(self.vertex_count, self.edges))
-        else:
-            x_side, y_side = self.bipartition
-            if x_side & y_side:
-                raise ValueError("bipartition sides overlap")
-            if x_side | y_side != set(range(self.vertex_count)):
-                raise ValueError("bipartition does not cover all vertices")
-            for u, v in self.edges:
-                if (u in x_side) == (v in x_side):
-                    raise ValueError(f"edge ({u}, {v}) does not cross the bipartition")
+        object.__setattr__(self, "bipartition", _two_color(self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -108,9 +97,7 @@ def make_path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs at least one edge, got n={n}")
     edges = tuple((i, i + 1) for i in range(n))
-    evens = frozenset(range(0, n + 1, 2))
-    odds = frozenset(range(1, n + 1, 2))
-    return Graph(n + 1, edges, (evens, odds))
+    return Graph(n + 1, edges)
 
 
 def make_cycle(n: int) -> Graph:
@@ -118,15 +105,7 @@ def make_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least three edges, got n={n}")
     edges = tuple((i, (i + 1) % n) for i in range(n))
-    if n % 2 == 0:
-        bipartition = (frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
-    else:
-        bipartition = None
-    return Graph(n, edges, bipartition)
-
-
-def _bipartite_sides(n: int) -> tuple[frozenset[int], frozenset[int]]:
-    return frozenset(range(n)), frozenset(range(n, 2 * n))
+    return Graph(n, edges)
 
 
 def make_complete_bipartite(n: int) -> Graph:
@@ -134,7 +113,7 @@ def make_complete_bipartite(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"side size must be positive, got n={n}")
     edges = tuple((x, n + y) for x in range(n) for y in range(n))
-    return Graph(2 * n, edges, _bipartite_sides(n))
+    return Graph(2 * n, edges)
 
 
 def make_circulant_regular_bipartite(n: int, k: int) -> Graph:
@@ -142,7 +121,7 @@ def make_circulant_regular_bipartite(n: int, k: int) -> Graph:
     if not 1 <= k <= n:
         raise ValueError(f"regularity requires 1 <= k <= n, got k={k}, n={n}")
     edges = tuple((x, n + (x + j) % n) for x in range(n) for j in range(k))
-    return Graph(2 * n, edges, _bipartite_sides(n))
+    return Graph(2 * n, edges)
 
 
 def _disjoint_permutation(rng: random.Random, n: int, used: list[set[int]],
@@ -197,7 +176,7 @@ def make_random_regular_bipartite(n: int, k: int, seed: int) -> Graph:
         for x in range(n):
             used[x].add(perm[x])
     edges = tuple((x, n + y) for x in range(n) for y in sorted(used[x]))
-    return Graph(2 * n, edges, _bipartite_sides(n))
+    return Graph(2 * n, edges)
 
 
 def _two_color(vertex_count: int, edges: Iterable[tuple[int, int]]):
@@ -232,8 +211,8 @@ def identify_vertices(g: Graph, u: int, v: int) -> Graph:
 
     The merged vertex takes the id min(u, v); ids above max(u, v) shift down
     by one.  Edge order is preserved: edge i of g is edge i of the result.
-    The result is built without sides, so Graph derives its bipartiteness
-    afresh (merging may break or create it).
+    Graph derives the result's bipartition afresh (merging may break or
+    create bipartiteness).
     """
     if u == v:
         raise ValueError("cannot identify a vertex with itself")
@@ -267,15 +246,10 @@ def identify_vertices(g: Graph, u: int, v: int) -> Graph:
 #   u v                                      (one edge per line, 0-based ids)
 #
 # Blank lines and '#' comments are ignored; edge index = 1 + position among
-# edge lines.
-#
-# The bipartite header can only express contiguous sides.  Every other graph
-# is written with the general header: a non-bipartite one (bipartition None),
-# or one whose bipartition is the canonical BFS 2-coloring (paths and even
-# cycles split by vertex parity, graphs built without sides).  Loading a
-# general header builds the Graph without sides, so Graph derives that same
-# 2-coloring, or None for an odd cycle, and the round trip is the identity on
-# (vertex_count, ordered edge list, bipartition).
+# edge lines.  A bipartite header is checked (every edge crosses its split),
+# but Graph derives the sides, so the round trip is the identity on
+# (vertex_count, ordered edge list, bipartition) and format_graph writes the
+# bipartite header exactly when the derived X is 0..|X|-1.
 
 
 def format_graph(g: Graph, *, comment: str | None = None) -> str:
@@ -283,19 +257,9 @@ def format_graph(g: Graph, *, comment: str | None = None) -> str:
     if comment:
         for piece in comment.splitlines():
             lines.append(f"# {piece}")
-    if g.bipartition is not None:
-        x_side, y_side = g.bipartition
-        nx, ny = len(x_side), len(y_side)
-        if x_side == frozenset(range(nx)) and y_side == frozenset(range(nx, nx + ny)):
-            lines.append(f"bipartite {nx} {ny} {g.edge_count}")
-        elif g.bipartition == _two_color(g.vertex_count, g.edges):
-            lines.append(f"graph {g.vertex_count} {g.edge_count}")
-        else:
-            raise ValueError(
-                "this bipartition is neither contiguous nor the canonical 2-coloring, "
-                "so no graph file can reproduce it; relabel the graph or drop the "
-                "bipartition before saving"
-            )
+    sides = g.bipartition
+    if sides is not None and sides[0] == frozenset(range(len(sides[0]))):
+        lines.append(f"bipartite {len(sides[0])} {len(sides[1])} {g.edge_count}")
     else:
         lines.append(f"graph {g.vertex_count} {g.edge_count}")
     for a, b in g.edges:
@@ -325,14 +289,17 @@ def parse_graph(text: str) -> Graph:
         raise ValueError("empty graph file")
     if header[0] == "graph":
         vertex_count, edge_count = int(header[1]), int(header[2])
-        bipartition = None  # Graph derives the canonical 2-coloring
     else:
         nx, ny, edge_count = int(header[1]), int(header[2]), int(header[3])
+        if nx < 0 or ny < 0:
+            raise ValueError(f"bipartite side sizes must be non-negative, got {nx} and {ny}")
         vertex_count = nx + ny
-        bipartition = (frozenset(range(nx)), frozenset(range(nx, nx + ny)))
+        for u, v in edges:
+            if (u < nx) == (v < nx):
+                raise ValueError(f"edge ({u}, {v}) does not cross the bipartite header's split")
     if len(edges) != edge_count:
         raise ValueError(f"header declares {edge_count} edges, file has {len(edges)}")
-    return Graph(vertex_count, tuple(edges), bipartition)  # validates ranges, simplicity
+    return Graph(vertex_count, tuple(edges))  # validates ranges, simplicity
 
 
 def save_graph(g: Graph, path, *, comment: str | None = None) -> None:

@@ -33,7 +33,9 @@ from .graphs import (
     make_path,
     make_random_regular_bipartite,
 )
-from .rainbow import max_matching_size
+# Unused here; kept because bench/test_bench.py checks that the benchmark's
+# tracer restores verify.max_matching_size.
+from .rainbow import max_matching_size  # noqa: F401
 
 __all__ = [
     "VerificationRecord",
@@ -161,13 +163,16 @@ def _check_rb_2m_bounds(rb, family, n, k, m, seed):
     return _within((2 * m - 2, 2 * m - 1), rb(_graph(family, n, k, seed), m))
 
 
+def _identification_check(rb, g: Graph, merged: Graph, m: int, note: str):
+    rb_g, rb_merged = rb(g, m), rb(merged, m)
+    status = STATUS_MATCH if rb_g <= rb_merged else STATUS_DISCREPANCY
+    return rb_g, (None, rb_merged), status, note
+
+
 def _check_path_vs_cycle(rb, family, n, k, m, seed):
     path = make_path(n)
-    cycle = identify_vertices(path, 0, n)
-    rb_path, rb_cycle = rb(path, m), rb(cycle, m)
-    status = STATUS_MATCH if rb_path <= rb_cycle else STATUS_DISCREPANCY
-    return (rb_path, (None, rb_cycle), status,
-            "path value must not exceed the identified-cycle value")
+    return _identification_check(rb, path, identify_vertices(path, 0, n), m,
+                                 "path value must not exceed the identified-cycle value")
 
 
 def _check_rb_path(rb, family, n, k, m, seed):
@@ -195,6 +200,25 @@ _CLAIMS = {
 THEOREM_IDS = tuple(_CLAIMS)
 
 
+def _budgeted_rb(edge_budget: int, timeout_ms: float | None):
+    def rb(g: Graph, m: int) -> int:
+        return rb_exact(g, m, edge_budget=edge_budget, timeout_ms=timeout_ms).rb_value
+
+    return rb
+
+
+def _record(theorem_id: str, cell: tuple, check) -> VerificationRecord:
+    """One cell's record from check(); a budget refusal becomes not_applicable."""
+    started = time.perf_counter()
+    try:
+        oracle, claimed, status, note = check()
+    except BudgetExceededError as exc:
+        oracle, claimed, status, note = (None, None, STATUS_NOT_APPLICABLE,
+                                         f"budget refusal: {exc}")
+    return VerificationRecord(theorem_id, *cell, oracle, claimed, status,
+                              (time.perf_counter() - started) * 1000.0, note)
+
+
 def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
                    samples: int = 5, seed: int = 0,
                    edge_budget: int = DEFAULT_EDGE_BUDGET,
@@ -204,23 +228,9 @@ def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
     if theorem_id not in _CLAIMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     grid, check = _CLAIMS[theorem_id]
-
-    def rb(g: Graph, m: int) -> int:
-        return rb_exact(g, m, edge_budget=edge_budget, timeout_ms=timeout_ms).rb_value
-
-    records: list[VerificationRecord] = []
-    for cell in grid(n_range, k_range, m_range, samples, seed):
-        started = time.perf_counter()
-        try:
-            oracle, claimed, status, note = check(rb, *cell)
-        except BudgetExceededError as exc:
-            oracle, claimed, status, note = (None, None, STATUS_NOT_APPLICABLE,
-                                             f"budget refusal: {exc}")
-        records.append(VerificationRecord(
-            theorem_id, *cell, oracle, claimed, status,
-            (time.perf_counter() - started) * 1000.0, note,
-        ))
-    return records
+    rb = _budgeted_rb(edge_budget, timeout_ms)
+    return [_record(theorem_id, cell, lambda: check(rb, *cell))
+            for cell in grid(n_range, k_range, m_range, samples, seed)]
 
 
 def monotonicity_records(*, n_range=None, m_range=None, samples: int = 5, seed: int = 0,
@@ -231,12 +241,12 @@ def monotonicity_records(*, n_range=None, m_range=None, samples: int = 5, seed: 
     records = verify_theorem("T3.2/C3.3", n_range=n_range, m_range=m_range,
                              samples=samples, seed=seed, edge_budget=edge_budget,
                              timeout_ms=timeout_ms)
-    records.extend(_random_identification_records(samples, seed, edge_budget, timeout_ms))
+    records.extend(_random_identification_records(samples, seed,
+                                                  _budgeted_rb(edge_budget, timeout_ms)))
     return records
 
 
-def _random_identification_records(samples: int, seed: int, edge_budget: int,
-                                   timeout_ms) -> list[VerificationRecord]:
+def _random_identification_records(samples: int, seed: int, rb) -> list[VerificationRecord]:
     rng = random.Random(seed)
     records: list[VerificationRecord] = []
     trials = 0
@@ -249,19 +259,10 @@ def _random_identification_records(samples: int, seed: int, edge_budget: int,
             merged = identify_vertices(g, u, v)
         except ValueError:
             continue
-        m = 2
-        if max_matching_size(g) < m or max_matching_size(merged) < m:
-            continue
-        started = time.perf_counter()
-        rb_g = rb_exact(g, m, edge_budget=edge_budget, timeout_ms=timeout_ms).rb_value
-        rb_h = rb_exact(merged, m, edge_budget=edge_budget, timeout_ms=timeout_ms).rb_value
-        status = STATUS_MATCH if rb_g <= rb_h else STATUS_DISCREPANCY
-        records.append(VerificationRecord(
-            "T3.2/C3.3", "random_identification", n, None, m, seed + trials,
-            rb_g, (None, rb_h), status,
-            (time.perf_counter() - started) * 1000.0,
-            f"merged vertices {u} and {v} of a path with {n} edges",
-        ))
+        note = f"merged vertices {u} and {v} of a path with {n} edges"
+        records.append(_record(
+            "T3.2/C3.3", ("random_identification", n, None, 2, seed + trials),
+            lambda: _identification_check(rb, g, merged, 2, note)))
     return records
 
 

@@ -171,5 +171,4 @@ def random_bipartite(rng: random.Random, max_side: int = 6, p: float = 0.4) -> G
         for y in range(ny):
             if rng.random() < p:
                 edges.append((x, nx + y))
-    return Graph(nx + ny, tuple(edges),
-                 (frozenset(range(nx)), frozenset(range(nx, nx + ny))))
+    return Graph(nx + ny, tuple(edges))

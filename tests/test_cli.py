@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import re
 from pathlib import Path
@@ -71,6 +73,23 @@ def test_unhonoured_flag_is_a_usage_error(args, flag, files, capsys):
         main(argv + flag)
     assert exc.value.code == EXIT_USAGE
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("args", "header"),
+    [
+        (["path", "6"], "graph 7 6"),
+        (["cycle", "6"], "graph 6 6"),
+        (["complete_bipartite", "3"], "bipartite 3 3 9"),
+        (["circulant", "4", "3"], "bipartite 4 4 12"),
+        (["random_regular", "5", "2"], "bipartite 5 5 10"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_gen_writes_the_header_of_each_family(args, header, capsys):
+    assert main(["gen", *args]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert lines[0] == header
 
 
 def test_rb_json_reports_value_and_node_count(files, capsys):
@@ -146,6 +165,24 @@ def test_regular_claim_without_samples_is_a_usage_error(capsys):
     assert main(["monotonicity", "--samples", "0", "--format", "json"]) == EXIT_OK
     families = {record["family"] for record in json.loads(capsys.readouterr().out)}
     assert families == {"path_vs_cycle"}
+
+
+def test_verify_csv_has_the_record_columns(capsys):
+    assert main(["verify", "T3.2/C3.3", "--n", "3..4", "--format", "csv"]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == cli.RECORD_COLUMNS
+    [record] = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert (record["family"], record["n"], record["m"]) == ("path_vs_cycle", "4", "2")
+    assert (record["oracle_value"], record["claimed"], record["status"]) == ("2", "..3", "match")
+
+
+def test_monotonicity_budget_refusal_is_a_record(capsys):
+    # every path above 4 edges is refused, the random identifications included
+    assert main(["monotonicity", "--budget-edges", "4", "--format", "json"]) == EXIT_OK
+    records = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in records] == ["match"] + ["not_applicable"] * 13
+    assert [r["family"] for r in records[9:]] == ["random_identification"] * 5
+    assert all(r["note"].startswith("budget refusal: ") for r in records[1:])
 
 
 @pytest.mark.parametrize(

@@ -164,9 +164,7 @@ def cover_route_graph(draw):
         n = draw(st.integers(1, 6))
         g = make_random_regular_bipartite(n, draw(st.integers(1, n)), seed)
     label = draw(st.permutations(range(g.vertex_count)))
-    x_side, y_side = g.bipartition
-    return Graph(g.vertex_count, tuple((label[u], label[v]) for u, v in g.edges),
-                 (frozenset(label[v] for v in x_side), frozenset(label[v] for v in y_side)))
+    return Graph(g.vertex_count, tuple((label[u], label[v]) for u, v in g.edges))
 
 
 @settings(max_examples=300, deadline=None)

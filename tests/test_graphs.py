@@ -139,9 +139,11 @@ def test_graph_rejects_loops_and_duplicates():
         Graph(2, ((0, 1), (1, 0)))
 
 
-def test_graph_rejects_non_crossing_bipartition():
-    with pytest.raises(ValueError):
-        Graph(3, ((0, 1),), (frozenset({0, 1}), frozenset({2})))
+def test_parse_rejects_malformed_bipartite_header():
+    # an edge inside X, then a negative side on either end
+    for text in ("bipartite 2 2 1\n0 1\n", "bipartite -1 3 0\n", "bipartite 3 -1 0\n"):
+        with pytest.raises(ValueError):
+            parse_graph(text)
 
 
 # --- identification ----------------------------------------------------------
@@ -228,8 +230,8 @@ def test_round_trip_is_identity(g):
 
 @st.composite
 def simple_graph(draw):
-    """Any simple graph as a caller builds it: Graph(n, edges) with no sides,
-    edges in arbitrary order and orientation."""
+    """Any simple graph as a caller builds it: Graph(n, edges), edges in
+    arbitrary order and orientation."""
     n = draw(st.integers(0, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
@@ -277,7 +279,10 @@ def test_bipartition_is_none_only_for_odd_cycles(g):
     if not has_proper_two_coloring:  # some cycle is odd
         assert g.bipartition is None
         return
-    assert g.bipartition is not None  # Graph has checked it is a valid bipartition
+    assert g.bipartition is not None
+    x_side, y_side = g.bipartition
+    assert not x_side & y_side and x_side | y_side == set(range(g.vertex_count))
+    assert all((u in x_side) != (v in x_side) for u, v in g.edges)
     # canonical: the lowest vertex of each connected component lies in X
     root = list(range(g.vertex_count))
 
@@ -300,8 +305,10 @@ def test_parse_ignores_comments_and_blank_lines():
 
 
 def test_parse_bipartite_header_sets_sides():
+    # the sides are derived: isolated vertex 3, declared in Y, is the lowest
+    # (only) vertex of its component, so it lands in X
     g = parse_graph("bipartite 2 3 2\n0 2\n1 4\n")
-    assert g.bipartition == (frozenset({0, 1}), frozenset({2, 3, 4}))
+    assert g.bipartition == (frozenset({0, 1, 3}), frozenset({2, 4}))
 
 
 def test_parse_rejects_wrong_edge_count():

@@ -28,7 +28,7 @@ def test_circulant_has_perfect_matching():
 
 
 def test_empty_graph_matching():
-    g = Graph(2, (), (frozenset({0}), frozenset({1})))
+    g = Graph(2, ())
     assert max_matching_size(g) == 0
 
 
