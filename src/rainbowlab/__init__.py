@@ -44,6 +44,7 @@ from .graphs import (
     make_circulant_regular_bipartite,
     make_complete_bipartite,
     make_cycle,
+    make_family,
     make_path,
     make_random_regular_bipartite,
     parse_graph,

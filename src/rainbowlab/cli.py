@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .colorings import format_coloring, load_coloring
@@ -33,15 +34,7 @@ from .extremal import (
     rb_formula_path,
     rb_formula_regular,
 )
-from .graphs import (
-    format_graph,
-    load_graph,
-    make_circulant_regular_bipartite,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
-    make_random_regular_bipartite,
-)
+from .graphs import FAMILIES, format_graph, load_graph, make_family
 from .rainbow import find_rainbow_matching
 from .verify import (
     THEOREM_IDS,
@@ -59,8 +52,6 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_DISCREPANCY = 3
 EXIT_CERTIFICATION = 4
-
-GEN_FAMILIES = ("path", "cycle", "complete_bipartite", "circulant", "random_regular")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +96,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a graph file for one of the built-in families")
-    p.add_argument("family", choices=GEN_FAMILIES)
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int, nargs="?", default=None)
     _add_flags(p, "--out", "--seed")
@@ -181,8 +172,6 @@ def _plain(value):
 
 
 def _format_table(rows: list[dict], columns: list[str]) -> str:
-    if not rows:
-        return "(no records)\n"
     cells = [[_cell(row.get(col)) for col in columns] for row in rows]
     widths = [max(len(col), *(len(row[i]) for row in cells)) for i, col in enumerate(columns)]
     lines = ["  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))]
@@ -222,21 +211,7 @@ def _read_metadata(path: Path) -> dict:
 
 def _cmd_gen(args) -> int:
     family, n, k = args.family, args.n, args.k
-    if family in ("circulant", "random_regular"):
-        if k is None:
-            raise ValueError(f"family {family!r} needs both n and k")
-    elif k is not None:
-        raise ValueError(f"family {family!r} takes only n")
-    if family == "path":
-        g = make_path(n)
-    elif family == "cycle":
-        g = make_cycle(n)
-    elif family == "complete_bipartite":
-        g = make_complete_bipartite(n)
-    elif family == "circulant":
-        g = make_circulant_regular_bipartite(n, k)
-    else:
-        g = make_random_regular_bipartite(n, k, args.seed)
+    g = make_family(family, n, k, args.seed)
     comment = f"rainbowlab family={family} n={n}"
     if k is not None:
         comment += f" k={k}"
@@ -361,9 +336,11 @@ RECORD_COLUMNS = ["theorem_id", "family", "n", "k", "m", "seed", "oracle_value",
 
 
 def _finish_records(records, args) -> int:
+    if not records:
+        raise ValueError("the given ranges select no cell, so the sweep checks nothing")
     if args.allowlist is not None:
         apply_allowlist(records, load_allowlist(args.allowlist))
-    rows = [r.to_dict() for r in records]
+    rows = [asdict(r) for r in records]
     _emit(rows, RECORD_COLUMNS, args.format, args.out)
     counts = summarize(records)
     print(summary_line(counts), file=sys.stderr if args.out is None and args.format != "table" else sys.stdout)

@@ -27,7 +27,6 @@ __all__ = [
 @dataclass(frozen=True)
 class ConstructionReport:
     graph: Graph
-    matching_size: int
     coloring: Coloring
     colors_used: int
     rainbow_free_certified: bool
@@ -38,7 +37,6 @@ def _report(g: Graph, m: int, coloring: Coloring, pattern: str) -> ConstructionR
     certified = find_rainbow_matching(g, coloring, m) is None
     return ConstructionReport(
         graph=g,
-        matching_size=m,
         coloring=coloring,
         colors_used=coloring.color_count,
         rainbow_free_certified=certified,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .colorings import Coloring
 from .errors import BudgetExceededError
 from .graphs import Graph
-from .rainbow import _independence_masks, _matching_number, find_rainbow_matching, max_matching_size
+from .rainbow import _matching_number, find_rainbow_matching, max_matching_size
 
 __all__ = [
     "ExtResult",
@@ -120,11 +120,7 @@ def ext_exact(g: Graph, m: int) -> ExtResult:
 def _ext_cover_based(g: Graph, m: int) -> ExtResult:
     vertex_count = g.vertex_count
     cover_size = min(m - 1, vertex_count)
-    incident = [0] * vertex_count  # incident[v]: bitmask of the edges at v
-    for i, (u, v) in enumerate(g.edges):
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
-    degrees = [mask.bit_count() for mask in incident]
+    incidence, degrees = g.incidence, g.degrees()
     top = []  # top[v][j]: sum of the j largest degrees among vertices v, v+1, ...
     for v in range(vertex_count):
         largest = sorted(degrees[v:], reverse=True)[:cover_size]
@@ -146,7 +142,7 @@ def _ext_cover_based(g: Graph, m: int) -> ExtResult:
             if count + top[u][need] <= best_value:
                 return
             chosen.append(u)
-            extend(u + 1, need - 1, covered | incident[u])
+            extend(u + 1, need - 1, covered | incidence[u])
             chosen.pop()
 
     extend(0, cover_size, 0)
@@ -155,8 +151,7 @@ def _ext_cover_based(g: Graph, m: int) -> ExtResult:
 
 
 def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
-    vmasks = g.edge_vertex_masks()
-    indep = _independence_masks(vmasks)
+    disjoint = g.disjoint
     edge_count = g.edge_count
     best_value = 0
     best_mask = 0
@@ -171,7 +166,7 @@ def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
             best_mask = chosen_mask
             return
         # include edge i unless it completes an m-matching among chosen edges
-        if _matching_number(chosen_mask & indep[i], indep, memo) < m - 1:
+        if _matching_number(chosen_mask & disjoint[i], disjoint, memo) < m - 1:
             bb(i + 1, chosen_mask | (1 << i), chosen_count + 1)
         bb(i + 1, chosen_mask, chosen_count)
 
@@ -194,7 +189,7 @@ def ext_formula_regular(n: int, k: int, m: int) -> int:
 # --- rb exact search ---------------------------------------------------------
 
 
-def _exists_rainbow(avail: int, need: int, indep: list[int], colors: list[int],
+def _exists_rainbow(avail: int, need: int, disjoint: tuple[int, ...], colors: list[int],
                     color_masks: list[int]) -> bool:
     """Is there a rainbow matching of `need` edges inside the bitmask `avail`?
     Edges in avail are already colored; chosen edges exclude their own color
@@ -205,13 +200,13 @@ def _exists_rainbow(avail: int, need: int, indep: list[int], colors: list[int],
         low = avail & -avail
         j = low.bit_length() - 1
         avail ^= low
-        if _exists_rainbow(avail & indep[j] & ~color_masks[colors[j]],
-                           need - 1, indep, colors, color_masks):
+        if _exists_rainbow(avail & disjoint[j] & ~color_masks[colors[j]],
+                           need - 1, disjoint, colors, color_masks):
             return True
     return False
 
 
-def _search(edge_count: int, indep: list[int], m: int, deadline: float | None):
+def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float | None):
     """Exhaust the canonical colorings; return the best rainbow-free color
     count, its lexicographically smallest assignment, and the number of search
     nodes visited.
@@ -249,11 +244,11 @@ def _search(edge_count: int, indep: list[int], m: int, deadline: float | None):
             return
         bit = 1 << i
         # open uncolored edges disjoint from edge i
-        recheck = indep[i] & ~closed & -(bit << 1)
+        recheck = disjoint[i] & ~closed & -(bit << 1)
         for c in range(1, t + 2):
-            avail = colored & indep[i] & ~color_masks[c]
+            avail = colored & disjoint[i] & ~color_masks[c]
             colors[i] = c
-            if _exists_rainbow(avail, m - 1, indep, colors, color_masks):
+            if _exists_rainbow(avail, m - 1, disjoint, colors, color_masks):
                 continue
             color_masks[c] |= bit
             child_closed = closed
@@ -261,7 +256,7 @@ def _search(edge_count: int, indep: list[int], m: int, deadline: float | None):
             while pending:
                 low = pending & -pending
                 pending ^= low
-                if _exists_rainbow(avail & indep[low.bit_length() - 1], m - 2, indep,
+                if _exists_rainbow(avail & disjoint[low.bit_length() - 1], m - 2, disjoint,
                                    colors, color_masks):
                     child_closed |= low
             assign(i + 1, t if c <= t else c, colored | bit, child_closed)
@@ -308,8 +303,7 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         # rainbow-free and rb = 1 with no extremal coloring to exhibit.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return RbResult(0, 1, None, 0, elapsed_ms)
-    indep = _independence_masks(g.edge_vertex_masks())
-    best_t, best_assignment, nodes = _search(g.edge_count, indep, m, deadline)
+    best_t, best_assignment, nodes = _search(g.edge_count, g.disjoint, m, deadline)
     assert best_assignment is not None and best_t >= 1  # monochromatic leaf always survives
     extremal = Coloring(best_assignment, best_t)
     if find_rainbow_matching(g, extremal, m) is not None:

@@ -3,7 +3,9 @@
 Edges are stored in a fixed order and addressed 1-based (edge ``i`` is
 ``edges[i - 1]``), because every construction and certificate in this package
 is defined in terms of the i-th edge of a path, cycle, or regular bipartite
-graph.  Graphs are immutable after construction.
+graph.  Graphs are immutable after construction.  Graph is also the one place
+that encodes edge sets as int bitmasks (bit j is edge j + 1): every exact
+search in the package reads its ``incidence`` and ``disjoint`` masks.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, TextIO
 
 __all__ = [
@@ -21,6 +24,8 @@ __all__ = [
     "make_complete_bipartite",
     "make_circulant_regular_bipartite",
     "make_random_regular_bipartite",
+    "FAMILIES",
+    "make_family",
     "identify_vertices",
     "parse_graph",
     "format_graph",
@@ -40,6 +45,10 @@ class Graph:
     bipartition: derived, never passed: the canonical BFS 2-coloring (X, Y)
         with the lowest vertex of each component in X, or None exactly when
         the graph has an odd cycle.
+    incidence, disjoint: derived edge bitmasks, bit j standing for edge j + 1,
+        built on first use and ignored by equality and repr.  incidence[v]
+        holds the edges at vertex v; disjoint[j] the edges sharing no vertex
+        with edge j + 1.
     """
 
     vertex_count: int
@@ -71,12 +80,21 @@ class Graph:
             raise IndexError(f"edge index {index} out of range 1..{len(self.edges)}")
         return self.edges[index - 1]
 
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        masks = [0] * self.vertex_count
+        for j, (u, v) in enumerate(self.edges):
+            masks[u] |= 1 << j
+            masks[v] |= 1 << j
+        return tuple(masks)
+
+    @cached_property
+    def disjoint(self) -> tuple[int, ...]:
+        every, incidence = (1 << len(self.edges)) - 1, self.incidence
+        return tuple(every & ~(incidence[u] | incidence[v]) for u, v in self.edges)
+
     def degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return [mask.bit_count() for mask in self.incidence]
 
     def neighbors(self, v: int) -> set[int]:
         out = set()
@@ -86,10 +104,6 @@ class Graph:
             elif b == v:
                 out.add(a)
         return out
-
-    def edge_vertex_masks(self) -> list[int]:
-        """Bitmask of the two endpoints of each edge, in edge order."""
-        return [(1 << u) | (1 << v) for u, v in self.edges]
 
 
 def make_path(n: int) -> Graph:
@@ -177,6 +191,32 @@ def make_random_regular_bipartite(n: int, k: int, seed: int) -> Graph:
             used[x].add(perm[x])
     edges = tuple((x, n + y) for x in range(n) for y in sorted(used[x]))
     return Graph(2 * n, edges)
+
+
+FAMILIES = ("path", "cycle", "complete_bipartite", "circulant", "random_regular")
+
+
+def make_family(family: str, n: int, k: int | None = None, seed: int = 0) -> Graph:
+    """The graph of a named family.  circulant and random_regular take n and k
+    (random_regular also the seed); the others take n alone.  The builders
+    are called by their names in this module, so a wrapper installed on it
+    sees every call."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}; known: {', '.join(FAMILIES)}")
+    regular = family in ("circulant", "random_regular")
+    if regular and k is None:
+        raise ValueError(f"family {family!r} needs both n and k")
+    if not regular and k is not None:
+        raise ValueError(f"family {family!r} takes only n")
+    if family == "path":
+        return make_path(n)
+    if family == "cycle":
+        return make_cycle(n)
+    if family == "complete_bipartite":
+        return make_complete_bipartite(n)
+    if family == "circulant":
+        return make_circulant_regular_bipartite(n, k)
+    return make_random_regular_bipartite(n, k, seed)
 
 
 def _two_color(vertex_count: int, edges: Iterable[tuple[int, int]]):

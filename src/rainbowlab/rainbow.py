@@ -1,16 +1,16 @@
 """Deciding whether an edge-colored graph contains a rainbow matching.
 
 The decision procedure is an exact backtracking search over edges in index
-order.  Edge sets are int bitmasks: indep[i] holds the edges sharing no vertex
-with edge i, and one mask per color holds that color's edges.  The search is
-pruned by the color count and by the memoised exact matching number
-(_matching_number) of the edges still available.  _matching_number is the
-package's one matching-number routine: max_matching_size, ext_exact's branch
-and bound and this search all use it.  rb_exact's prune kernel
-(extremal._exists_rainbow) walks the same bitmasks without these prunes or a
-witness, because it runs millions of times per search on few edges.  The
-brute-force oracles the search is cross-checked against live with the tests,
-in tests/helpers.py.
+order.  Edge sets are int bitmasks in Graph's encoding (bit j is edge j + 1):
+Graph.disjoint[j] holds the edges sharing no vertex with edge j + 1, and one
+mask per color holds that color's edges.  The search is pruned by the color
+count and by the memoised exact matching number (_matching_number) of the
+edges still available.  _matching_number is the package's one
+matching-number routine: max_matching_size, ext_exact's branch and bound and
+this search all use it.  rb_exact's prune kernel (extremal._exists_rainbow)
+walks the same bitmasks without these prunes or a witness, because it runs
+millions of times per search on few edges.  The brute-force oracles the
+search is cross-checked against live with the tests, in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -60,18 +60,7 @@ class RainbowWitness:
         return len(set(self.colors)) == len(self.colors)
 
 
-def _independence_masks(vmasks: list[int]) -> list[int]:
-    """indep[i] is the bitmask of edges sharing no vertex with edge i."""
-    edge_count = len(vmasks)
-    indep = [0] * edge_count
-    for i in range(edge_count):
-        for j in range(edge_count):
-            if i != j and not vmasks[i] & vmasks[j]:
-                indep[i] |= 1 << j
-    return indep
-
-
-def _matching_number(active: int, indep: list[int], memo: dict[int, int]) -> int:
+def _matching_number(active: int, disjoint: tuple[int, ...], memo: dict[int, int]) -> int:
     """Exact maximum matching size of the edges in the bitmask `active`.
     Branches on the lowest-index edge; exponential but fine at this package's
     scale.  `memo` maps edge bitmasks to their matching number and may be
@@ -81,8 +70,8 @@ def _matching_number(active: int, indep: list[int], memo: dict[int, int]) -> int
     if active in memo:
         return memo[active]
     low = active & -active
-    best = max(_matching_number(active ^ low, indep, memo),  # skip the lowest edge
-               1 + _matching_number(active & indep[low.bit_length() - 1], indep, memo))
+    best = max(_matching_number(active ^ low, disjoint, memo),  # skip the lowest edge
+               1 + _matching_number(active & disjoint[low.bit_length() - 1], disjoint, memo))
     memo[active] = best
     return best
 
@@ -90,8 +79,7 @@ def _matching_number(active: int, indep: list[int], memo: dict[int, int]) -> int
 def max_matching_size(g: Graph) -> int:
     """Matching number of any graph, bipartite or not, by _matching_number over
     all of its edges."""
-    indep = _independence_masks(g.edge_vertex_masks())
-    return _matching_number((1 << g.edge_count) - 1, indep, {})
+    return _matching_number((1 << g.edge_count) - 1, g.disjoint, {})
 
 
 def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitness | None:
@@ -111,7 +99,7 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
             f"coloring covers {coloring.edge_count} edges but graph has {g.edge_count}"
         )
     colors = coloring.assignment
-    indep = _independence_masks(g.edge_vertex_masks())
+    disjoint = g.disjoint
     color_masks = [0] * (coloring.color_count + 1)
     for j, c in enumerate(colors):
         color_masks[c] |= 1 << j
@@ -126,14 +114,14 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
         while rest and distinct < need:
             rest &= ~color_masks[colors[(rest & -rest).bit_length() - 1]]
             distinct += 1
-        if distinct < need or _matching_number(avail, indep, memo) < need:
+        if distinct < need or _matching_number(avail, disjoint, memo) < need:
             return False
         while avail:
             low = avail & -avail
             j = low.bit_length() - 1
             avail ^= low
             chosen.append(j)
-            if search(avail & indep[j] & ~color_masks[colors[j]], need - 1):
+            if search(avail & disjoint[j] & ~color_masks[colors[j]], need - 1):
                 return True
             chosen.pop()
         return False

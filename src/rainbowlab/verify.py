@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .extremal import (
@@ -25,14 +25,7 @@ from .extremal import (
     rb_formula_path,
     rb_formula_regular,
 )
-from .graphs import (
-    Graph,
-    identify_vertices,
-    make_circulant_regular_bipartite,
-    make_cycle,
-    make_path,
-    make_random_regular_bipartite,
-)
+from .graphs import Graph, identify_vertices, make_family, make_path
 # Unused here; kept because bench/test_bench.py checks that the benchmark's
 # tracer restores verify.max_matching_size.
 from .rainbow import max_matching_size  # noqa: F401
@@ -68,12 +61,6 @@ class VerificationRecord:
     note: str = ""
     acknowledged: bool = False
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if isinstance(self.claimed, tuple):
-            d["claimed"] = list(self.claimed)
-        return d
-
 
 def _span(rng: tuple[int, int] | None, default: tuple[int, int]) -> range:
     lo, hi = rng if rng is not None else default
@@ -104,6 +91,8 @@ def _edge_count_grid(family: str, n_default: tuple[int, int], m_top):
     """Cells over a path or cycle with n edges and 2 <= m <= m_top(n)."""
 
     def grid(n_range, k_range, m_range, samples, seed):
+        if k_range is not None:
+            raise ValueError(f"{family} cells have no k, so a k range cannot be honoured")
         for n in _span(n_range, n_default):
             for m in _span(m_range, (2, m_top(n))):
                 if 2 <= m <= m_top(n):
@@ -123,16 +112,6 @@ _cycle_grid = _edge_count_grid("cycle", (3, 9), lambda n: n // 2)
 # when a check runs, so wrappers installed on this module see every call.
 
 
-def _graph(family: str, n: int, k: int | None, seed: int | None) -> Graph:
-    if family == "path":
-        return make_path(n)
-    if family == "cycle":
-        return make_cycle(n)
-    if family == "circulant":
-        return make_circulant_regular_bipartite(n, k)
-    return make_random_regular_bipartite(n, k, seed)
-
-
 def _exact(claimed: int, oracle: int, note: str = ""):
     return oracle, claimed, STATUS_MATCH if oracle == claimed else STATUS_DISCREPANCY, note
 
@@ -143,12 +122,12 @@ def _within(bounds: tuple[int, int], oracle: int):
 
 
 def _check_ext_regular(rb, family, n, k, m, seed):
-    g = _graph(family, n, k, seed)
+    g = make_family(family, n, k, seed)
     return _exact(ext_formula_regular(n, k, m), ext_exact(g, m).value)
 
 
 def _check_rb_bounds_regular(rb, family, n, k, m, seed):
-    g = _graph(family, n, k, seed)
+    g = make_family(family, n, k, seed)
     return _within(rb_bounds_regular(n, k, m), rb(g, m))
 
 
@@ -156,11 +135,11 @@ def _check_rb_regular(rb, family, n, k, m, seed):
     claimed = rb_formula_regular(n, k, m)
     if claimed is None:
         return None, None, STATUS_NOT_APPLICABLE, "needs k >= 3 and n > 3(m-1)"
-    return _exact(claimed, rb(_graph(family, n, k, seed), m))
+    return _exact(claimed, rb(make_family(family, n, k, seed), m))
 
 
 def _check_rb_2m_bounds(rb, family, n, k, m, seed):
-    return _within((2 * m - 2, 2 * m - 1), rb(_graph(family, n, k, seed), m))
+    return _within((2 * m - 2, 2 * m - 1), rb(make_family(family, n, k, seed), m))
 
 
 def _identification_check(rb, g: Graph, merged: Graph, m: int, note: str):
@@ -176,13 +155,13 @@ def _check_path_vs_cycle(rb, family, n, k, m, seed):
 
 
 def _check_rb_path(rb, family, n, k, m, seed):
-    return _exact(rb_formula_path(n, m), rb(_graph(family, n, k, seed), m))
+    return _exact(rb_formula_path(n, m), rb(make_family(family, n, k, seed), m))
 
 
 def _check_rb_cycle(rb, family, n, k, m, seed):
     formula = rb_formula_cycle(n, m)
     note = "formula cell flagged as disputed" if formula.disputed else ""
-    return _exact(formula.value, rb(_graph(family, n, k, seed), m), note)
+    return _exact(formula.value, rb(make_family(family, n, k, seed), m), note)
 
 
 # Claim id -> (instance grid, check), in the order the CLI lists them.

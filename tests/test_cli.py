@@ -92,6 +92,20 @@ def test_gen_writes_the_header_of_each_family(args, header, capsys):
     assert lines[0] == header
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["circulant", "4"], "family 'circulant' needs both n and k"),
+        (["random_regular", "4"], "family 'random_regular' needs both n and k"),
+        (["cycle", "6", "2"], "family 'cycle' takes only n"),
+    ],
+    ids=["circulant", "random_regular", "cycle"],
+)
+def test_gen_with_the_wrong_parameters_is_a_usage_error(args, message, capsys):
+    assert main(["gen", *args]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_rb_json_reports_value_and_node_count(files, capsys):
     graph, _ = files
     assert main(["rb", graph, "3", "--format", "json"]) == EXIT_OK
@@ -195,6 +209,21 @@ def test_reversed_range_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_USAGE
     assert "empty range" in capsys.readouterr().err
+
+
+def test_a_sweep_that_selects_no_cell_is_a_usage_error(capsys):
+    # k = 9 exceeds n = 3, so no regular graph exists: the sweep would check nothing
+    assert main(["verify", "T2.3", "--n", "3", "--k", "9..9"]) == EXIT_USAGE
+    assert "select no cell" in capsys.readouterr().err
+    # no path with 3 edges has a cell, but the random identifications are records
+    assert main(["monotonicity", "--n", "3..3", "--format", "json"]) == EXIT_OK
+    families = {record["family"] for record in json.loads(capsys.readouterr().out)}
+    assert families == {"random_identification"}
+
+
+def test_k_range_on_a_path_claim_is_a_usage_error(capsys):
+    assert main(["verify", "T3.5", "--n", "2..3", "--k", "7..9"]) == EXIT_USAGE
+    assert "k range cannot be honoured" in capsys.readouterr().err
 
 
 def test_known_discrepancy_exits_3_unless_allowlisted(capsys):

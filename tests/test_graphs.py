@@ -9,6 +9,7 @@ from rainbowlab import (
     make_circulant_regular_bipartite,
     make_complete_bipartite,
     make_cycle,
+    make_family,
     make_path,
     make_random_regular_bipartite,
     parse_graph,
@@ -327,3 +328,46 @@ def test_edge_indices_are_one_based_positions():
     assert g.edge(3) == (2, 3)
     with pytest.raises(IndexError):
         g.edge(0)
+
+
+def test_make_family_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown graph family 'star'"):
+        make_family("star", 4)
+
+
+# --- edge bitmasks -------------------------------------------------------------
+
+
+def _assert_masks_match_their_definitions(g: Graph):
+    every = (1 << g.edge_count) - 1
+    assert len(g.incidence) == g.vertex_count and len(g.disjoint) == g.edge_count
+    for v in range(g.vertex_count):
+        assert g.incidence[v] == sum(1 << j for j, edge in enumerate(g.edges) if v in edge)
+    for i, edge in enumerate(g.edges):
+        assert g.disjoint[i] & ~every == 0
+        for j, other in enumerate(g.edges):
+            assert bool(g.disjoint[i] >> j & 1) == (i != j and not set(edge) & set(other))
+    assert g.degrees() == [sum(v in edge for edge in g.edges) for v in range(g.vertex_count)]
+
+
+@_add_examples
+@settings(max_examples=200, deadline=None)
+@given(simple_graph())
+def test_incidence_and_disjoint_match_their_definitions(g):
+    _assert_masks_match_their_definitions(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_with_mergeable_pair())
+def test_incidence_and_disjoint_match_their_definitions_after_identification(item):
+    if item is None:
+        return
+    g, (u, v) = item
+    _assert_masks_match_their_definitions(identify_vertices(g, u, v))
+
+
+def test_equality_hash_and_repr_ignore_the_derived_masks():
+    g, h = make_cycle(6), make_cycle(6)
+    assert g.disjoint and g.incidence  # built on g, not yet on h
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == repr(h) and "disjoint" not in repr(g) and "incidence" not in repr(g)

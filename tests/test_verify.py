@@ -63,3 +63,9 @@ def test_verify_help_lists_exactly_the_claim_ids(capsys):
     positional = capsys.readouterr().out.split("positional arguments:")[1]
     choices = re.search(r"\{([^}]*)\}", positional).group(1)
     assert tuple(choices.split(",")) == THEOREM_IDS
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T3.2/C3.3", "T3.4", "T3.5", "T3.6"])
+def test_path_and_cycle_claims_refuse_a_k_range(theorem_id):
+    with pytest.raises(ValueError, match="k range cannot be honoured"):
+        verify_theorem(theorem_id, k_range=(2, 3))
