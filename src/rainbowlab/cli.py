@@ -99,7 +99,8 @@ def build_parser() -> _Parser:
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int, nargs="?", default=None)
-    _add_flags(p, "--out", "--seed")
+    p.add_argument("--seed", type=int, default=None, metavar="S")
+    _add_flags(p, "--out")
 
     p = sub.add_parser("rb", help="exact rainbow number of m-matchings in a graph file")
     p.add_argument("graph", type=Path)
@@ -127,14 +128,14 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--k", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=int, default=None)
     _add_flags(p, *_SWEEP_FLAGS)
 
     p = sub.add_parser("monotonicity",
                        help="check that identifying vertices never lowers the rainbow number")
     p.add_argument("--n", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=int, default=None)
     _add_flags(p, *_SWEEP_FLAGS)
 
     return parser
@@ -210,13 +211,15 @@ def _read_metadata(path: Path) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    family, n, k = args.family, args.n, args.k
-    g = make_family(family, n, k, args.seed)
+    family, n, k, seed = args.family, args.n, args.k, args.seed or 0
+    if args.seed is not None and family != "random_regular":
+        raise ValueError(f"family {family!r} is not random, so a seed cannot be honoured")
+    g = make_family(family, n, k, seed)
     comment = f"rainbowlab family={family} n={n}"
     if k is not None:
         comment += f" k={k}"
     if family == "random_regular":
-        comment += f" seed={args.seed}"
+        comment += f" seed={seed}"
     _write_text(args.out, format_graph(g, comment=comment))
     return EXIT_OK
 

@@ -6,7 +6,8 @@ f(G, m) is the largest number of colors in a surjective edge-coloring of G
 with no rainbow m-matching; the search enumerates canonical restricted-growth
 colorings with two prunes (a rainbow m-matching among the colored edges, and
 a bound on new colors that forward-checks which uncolored edges can still
-open one) and returns the lexicographically smallest extremal coloring.
+open one), both answered by one rainbow-matching kernel (_closable), and
+returns the lexicographically smallest extremal coloring.
 
 The closed-form evaluators cover k-regular bipartite graphs, paths, cycles,
 and complete bipartite graphs; each validates its stated parameter range and
@@ -189,21 +190,24 @@ def ext_formula_regular(n: int, k: int, m: int) -> int:
 # --- rb exact search ---------------------------------------------------------
 
 
-def _exists_rainbow(avail: int, need: int, disjoint: tuple[int, ...], colors: list[int],
-                    color_masks: list[int]) -> bool:
-    """Is there a rainbow matching of `need` edges inside the bitmask `avail`?
-    Edges in avail are already colored; chosen edges exclude their own color
-    class and non-disjoint edges from the remaining pool."""
+def _closable(avail: int, need: int, target: int, disjoint: tuple[int, ...], colors: list[int],
+              color_masks: list[int]) -> int:
+    """The edges of bitmask `target` that some rainbow matching of `need`
+    edges inside bitmask `avail` (colored edges) avoids.  A chosen edge drops
+    its color class and the edges it meets from the pool, and the target edges
+    it meets from those it can still close; a branch with none left dies."""
     if need == 0:
-        return True
-    while avail:
+        return target
+    found = 0
+    while avail and found != target:
         low = avail & -avail
         j = low.bit_length() - 1
         avail ^= low
-        if _exists_rainbow(avail & disjoint[j] & ~color_masks[colors[j]],
-                           need - 1, disjoint, colors, color_masks):
-            return True
-    return False
+        rest = target & disjoint[j] & ~found
+        if rest:
+            found |= _closable(avail & disjoint[j] & ~color_masks[colors[j]], need - 1, rest,
+                               disjoint, colors, color_masks)
+    return found
 
 
 def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float | None):
@@ -211,16 +215,20 @@ def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float 
     count, its lexicographically smallest assignment, and the number of search
     nodes visited.
 
-    Prune (a): a partial coloring that already shows a rainbow m-matching can
-    never become rainbow-free (colors of colored edges are final), so the
-    branch dies the moment edge i's color completes one.
-    Prune (b), by forward checking: an uncolored edge j is closed once some
-    rainbow (m-1)-matching among the colored edges avoids j's endpoints, since
-    a new color on j would complete a rainbow m-matching.  Closed edges can
-    only reuse colors, so with best t* found, a node whose colors-so-far plus
-    open uncolored edges cannot exceed t* is hopeless.  The closed set only
-    grows along a branch, and after edge i is colored only matchings through
-    i are new, so only the open edges disjoint from i are re-tested.
+    An uncolored edge j is closed when some rainbow (m-1)-matching among the
+    colored edges avoids j: a new color on j would complete a rainbow
+    m-matching.  The closed mask is exact, since after edge i is colored only
+    matchings through i are new, and those avoid only edges disjoint from i;
+    one _closable call re-tests those of them that are still open.
+
+    Prune (a): colors of colored edges are final, so a branch dies the moment
+    edge i's color c completes a rainbow m-matching, that is, when a rainbow
+    (m-1)-matching among the colored edges avoids both edge i and color c.
+    For a new color that is edge i's closed bit.  An open edge has no such
+    matching for any c, so only a closed edge searches, once per reused color.
+    Prune (b): closed edges can only reuse colors, so with best t* found, a
+    node whose colors-so-far plus open uncolored edges cannot exceed t* is
+    hopeless.
     """
     colors = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
@@ -243,23 +251,18 @@ def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float 
         if t + (edge_count - i) - (closed >> i).bit_count() <= best_t:
             return
         bit = 1 << i
+        shut = closed & bit
         # open uncolored edges disjoint from edge i
         recheck = disjoint[i] & ~closed & -(bit << 1)
-        for c in range(1, t + 2):
+        for c in range(1, t + 1 if shut else t + 2):
             avail = colored & disjoint[i] & ~color_masks[c]
             colors[i] = c
-            if _exists_rainbow(avail, m - 1, disjoint, colors, color_masks):
+            # avail lies inside disjoint[i], so any matching in it avoids edge i
+            if shut and _closable(avail, m - 1, bit, disjoint, colors, color_masks):
                 continue
             color_masks[c] |= bit
-            child_closed = closed
-            pending = recheck
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                if _exists_rainbow(avail & disjoint[low.bit_length() - 1], m - 2, disjoint,
-                                   colors, color_masks):
-                    child_closed |= low
-            assign(i + 1, t if c <= t else c, colored | bit, child_closed)
+            assign(i + 1, t if c <= t else c, colored | bit,
+                   closed | _closable(avail, m - 2, recheck, disjoint, colors, color_masks))
             color_masks[c] &= ~bit
         colors[i] = 0
 

@@ -7,7 +7,7 @@ mask per color holds that color's edges.  The search is pruned by the color
 count and by the memoised exact matching number (_matching_number) of the
 edges still available.  _matching_number is the package's one
 matching-number routine: max_matching_size, ext_exact's branch and bound and
-this search all use it.  rb_exact's prune kernel (extremal._exists_rainbow)
+this search all use it.  rb_exact's one search kernel (extremal._closable)
 walks the same bitmasks without these prunes or a witness, because it runs
 millions of times per search on few edges.  The brute-force oracles the
 search is cross-checked against live with the tests, in tests/helpers.py.

@@ -44,6 +44,7 @@ STATUS_MATCH = "match"
 STATUS_WITHIN_BOUNDS = "within_bounds"
 STATUS_DISCREPANCY = "discrepancy"
 STATUS_NOT_APPLICABLE = "not_applicable"
+DEFAULT_SAMPLES = 5  # graphs per regular cell, or random identifications
 
 
 @dataclass
@@ -72,9 +73,10 @@ def _span(rng: tuple[int, int] | None, default: tuple[int, int]) -> range:
 # A cell is (family, n, k, m, seed); each one becomes one VerificationRecord.
 
 
-def _regular_grid(n_range, k_range, m_range, samples: int, seed: int):
+def _regular_grid(n_range, k_range, m_range, samples: int | None, seed: int):
     """Cells of a claim quantified over all k-regular bipartite graphs: the
     circulant plus samples - 1 seeded random draws per (n, k, m)."""
+    samples = DEFAULT_SAMPLES if samples is None else samples
     if samples < 1:
         raise ValueError(f"samples must be at least 1 (the circulant), got {samples}")
     realizations = [("circulant", None)] + [("random_regular", seed + i)
@@ -93,6 +95,8 @@ def _edge_count_grid(family: str, n_default: tuple[int, int], m_top):
     def grid(n_range, k_range, m_range, samples, seed):
         if k_range is not None:
             raise ValueError(f"{family} cells have no k, so a k range cannot be honoured")
+        if samples is not None:
+            raise ValueError(f"{family} cells are not random, so a sample count cannot be honoured")
         for n in _span(n_range, n_default):
             for m in _span(m_range, (2, m_top(n))):
                 if 2 <= m <= m_top(n):
@@ -199,7 +203,7 @@ def _record(theorem_id: str, cell: tuple, check) -> VerificationRecord:
 
 
 def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
-                   samples: int = 5, seed: int = 0,
+                   samples: int | None = None, seed: int = 0,
                    edge_budget: int = DEFAULT_EDGE_BUDGET,
                    timeout_ms: float | None = None) -> list[VerificationRecord]:
     """Sweep one claim over its instance grid and return one record per cell.
@@ -212,16 +216,16 @@ def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
             for cell in grid(n_range, k_range, m_range, samples, seed)]
 
 
-def monotonicity_records(*, n_range=None, m_range=None, samples: int = 5, seed: int = 0,
-                         edge_budget: int = DEFAULT_EDGE_BUDGET,
+def monotonicity_records(*, n_range=None, m_range=None, samples: int | None = None,
+                         seed: int = 0, edge_budget: int = DEFAULT_EDGE_BUDGET,
                          timeout_ms: float | None = None) -> list[VerificationRecord]:
     """Identification monotonicity: closing a path into a cycle never lowers
     the rainbow number, plus seeded random identifications on small graphs."""
-    records = verify_theorem("T3.2/C3.3", n_range=n_range, m_range=m_range,
-                             samples=samples, seed=seed, edge_budget=edge_budget,
-                             timeout_ms=timeout_ms)
-    records.extend(_random_identification_records(samples, seed,
-                                                  _budgeted_rb(edge_budget, timeout_ms)))
+    records = verify_theorem("T3.2/C3.3", n_range=n_range, m_range=m_range, seed=seed,
+                             edge_budget=edge_budget, timeout_ms=timeout_ms)
+    records.extend(_random_identification_records(
+        DEFAULT_SAMPLES if samples is None else samples, seed,
+        _budgeted_rb(edge_budget, timeout_ms)))
     return records
 
 

@@ -6,8 +6,10 @@ must not share logic with the implementations they gate.  That includes the
 representative-choice rainbow oracle (enumerate_representative_choices), the
 second route to find_rainbow_matching's answer on small colored graphs, the
 enumeration of every canonical coloring (canonical_colorings), the second
-route to rb_exact's pruned search, and the scan of every (m-1)-vertex subset
-(brute_cover_ext), the second route to ext_exact's cover branch and bound.
+route to rb_exact's pruned search, the union over every rainbow matching of
+the edges it avoids (brute_closable), the second route to rb_exact's search
+kernel, and the scan of every (m-1)-vertex subset (brute_cover_ext), the
+second route to ext_exact's cover branch and bound.
 The augmenting-path matching size is not brute force, but it shares nothing
 with the bitmask branching of max_matching_size, so it checks that routine on
 graphs too large for brute force.
@@ -86,6 +88,28 @@ def brute_first_rainbow_matching(g: Graph, coloring, m: int):
         if len(set(colors)) == m:
             return combo, colors
     return None
+
+
+def brute_closable(g: Graph, colors, avail: int, need: int, target: int) -> int:
+    """The edges of bitmask `target` that some rainbow matching of `need` edges
+    of bitmask `avail` avoids (shares no vertex with), in Graph's encoding (bit
+    j is edge j + 1) with colors[j] the color of edge j + 1: every need-subset
+    of avail that is a rainbow matching, and the union of the target edges it
+    touches no endpoint of."""
+    def edges_of(mask):
+        return [i for i in range(1, g.edge_count + 1) if mask >> (i - 1) & 1]
+
+    closable = 0
+    for combo in combinations(edges_of(avail), need):
+        if not is_disjoint_edge_set(g, combo):
+            continue
+        if len({colors[i - 1] for i in combo}) < need:
+            continue
+        touched = {v for i in combo for v in g.edge(i)}
+        for j in edges_of(target):
+            if not touched & set(g.edge(j)):
+                closable |= 1 << (j - 1)
+    return closable
 
 
 def augmenting_path_matching_size(g: Graph) -> int:

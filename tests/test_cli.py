@@ -226,6 +226,33 @@ def test_k_range_on_a_path_claim_is_a_usage_error(capsys):
     assert "k range cannot be honoured" in capsys.readouterr().err
 
 
+def test_samples_on_a_path_claim_is_a_usage_error(capsys):
+    argv = ["verify", "T3.5", "--n", "2..3", "--format", "json"]
+    # the seed is accepted by every claim, read or not
+    assert main(argv + ["--seed", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + ["--samples", "5"]) == EXIT_USAGE
+    assert "sample count cannot be honoured" in capsys.readouterr().err
+
+
+def test_samples_default_to_five_graphs_per_regular_cell(capsys):
+    argv = ["verify", "T2.3", "--n", "3", "--k", "2", "--m", "2", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    records = json.loads(capsys.readouterr().out)
+    assert [r["family"] for r in records] == ["circulant"] + ["random_regular"] * 4
+    assert main(argv + ["--samples", "2"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)) == 2
+
+
+def test_gen_seed_on_a_family_that_is_not_random_is_a_usage_error(capsys):
+    assert main(["gen", "path", "4", "--seed", "7"]) == EXIT_USAGE
+    assert "family 'path' is not random" in capsys.readouterr().err
+    assert main(["gen", "random_regular", "5", "2", "--seed", "7"]) == EXIT_OK
+    assert "seed=7" in capsys.readouterr().out
+    assert main(["gen", "random_regular", "5", "2"]) == EXIT_OK
+    assert "seed=0" in capsys.readouterr().out
+
+
 def test_known_discrepancy_exits_3_unless_allowlisted(capsys):
     argv = ["verify", "T3.6", "--n", "4", "--m", "2", "--format", "json"]
     assert main(argv) == EXIT_DISCREPANCY

@@ -24,7 +24,9 @@ from rainbowlab import (
     rb_formula_regular,
     verify_theorem,
 )
+from rainbowlab.extremal import _closable
 from helpers import (
+    brute_closable,
     canonical_colorings,
     brute_cover_ext,
     brute_ext,
@@ -317,6 +319,50 @@ def test_rb_exact_matches_brute_force_enumeration(g):
             best.color_count + 1,
             best,
         ), (g.edges, m)
+
+
+# The search tree and extremal coloring of five cells, pinned: a faster
+# kernel must cut exactly this tree and return exactly this coloring.
+@pytest.mark.parametrize(
+    ("g", "m", "nodes", "coloring"),
+    [
+        (make_path(14), 4, 3_616, "11111111112345"),
+        (make_cycle(13), 5, 21_057, "1111111234567"),
+        (make_circulant_regular_bipartite(7, 3), 3, 245, "111111111111111111234"),
+        (make_circulant_regular_bipartite(5, 4), 3, 1_849, "11111111111111112345"),
+        (make_complete_bipartite(4), 3, 1_838, "1111111111112345"),
+    ],
+    ids=["P14_m4", "C13_m5", "circulant73_m3", "circulant54_m3", "K44_m3"],
+)
+def test_rb_search_tree_is_pinned(g, m, nodes, coloring):
+    result = rb_exact(g, m, edge_budget=g.edge_count)
+    assert result.colorings_examined == nodes
+    assert "".join(map(str, result.extremal_coloring.assignment)) == coloring
+
+
+@st.composite
+def closable_case(draw):
+    """A simple graph of up to 10 edges, a coloring of it with up to 4 colors,
+    and random avail and target edge masks."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True,
+                                     min_size=1, max_size=min(10, len(pairs))))))
+    colors = draw(st.lists(st.integers(1, 4), min_size=g.edge_count, max_size=g.edge_count))
+    every = (1 << g.edge_count) - 1
+    return g, colors, draw(st.integers(0, every)), draw(st.integers(0, every))
+
+
+@settings(max_examples=300, deadline=None)
+@given(closable_case())
+def test_closable_matches_the_union_over_every_rainbow_matching(case):
+    g, colors, avail, target = case
+    color_masks = [0] * 5
+    for j, c in enumerate(colors):
+        color_masks[c] |= 1 << j
+    for need in range(4):
+        assert _closable(avail, need, target, g.disjoint, colors, color_masks) == (
+            brute_closable(g, colors, avail, need, target)), (g.edges, colors, need)
 
 
 def test_t25_holds_on_first_nontrivial_cells():

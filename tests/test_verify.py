@@ -69,3 +69,11 @@ def test_verify_help_lists_exactly_the_claim_ids(capsys):
 def test_path_and_cycle_claims_refuse_a_k_range(theorem_id):
     with pytest.raises(ValueError, match="k range cannot be honoured"):
         verify_theorem(theorem_id, k_range=(2, 3))
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T3.2/C3.3", "T3.4", "T3.5", "T3.6"])
+def test_path_and_cycle_claims_refuse_a_sample_count(theorem_id):
+    with pytest.raises(ValueError, match="sample count cannot be honoured"):
+        verify_theorem(theorem_id, samples=5)
+    # the seed is accepted by every claim, read or not
+    assert verify_theorem(theorem_id, n_range=(4, 4), seed=3)
