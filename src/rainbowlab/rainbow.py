@@ -3,14 +3,15 @@
 The decision procedure is an exact backtracking search over edges in index
 order.  Edge sets are int bitmasks in Graph's encoding (bit j is edge j + 1):
 Graph.disjoint[j] holds the edges sharing no vertex with edge j + 1, and one
-mask per color holds that color's edges.  The search is pruned by the color
-count and by the memoised exact matching number (_matching_number) of the
-edges still available.  _matching_number is the package's one
-matching-number routine: max_matching_size, ext_exact's branch and bound and
-this search all use it.  rb_exact's one search kernel (extremal._closable)
-walks the same bitmasks without these prunes or a witness, because it runs
-millions of times per search on few edges.  The brute-force oracles the
-search is cross-checked against live with the tests, in tests/helpers.py.
+mask per color holds that color's edges.  Each exhausted subproblem is
+refuted once, and nodes are pruned by the color count, a side-color cover
+(_side_cover) and the memoised exact matching number (_matching_number).
+_matching_number is the package's one matching-number routine:
+max_matching_size, ext_exact's branch and bound and this search all use it.
+rb_exact's one search kernel (extremal._closable) walks the same bitmasks
+without these prunes or a witness, because it runs millions of times per
+search on few edges.  The brute-force oracles the search is cross-checked
+against live with the tests, in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -82,15 +83,33 @@ def max_matching_size(g: Graph) -> int:
     return _matching_number((1 << g.edge_count) - 1, g.disjoint, {})
 
 
+def _side_cover(avail: int, side: list[int], colors: list[int], color_masks: list[int]) -> int:
+    """An upper bound on a rainbow matching in bitmask `avail`; `side` holds the
+    incidence masks of one side S of a bipartite graph.  S-vertices with two or
+    more avail colors, plus the colors on the other S-vertices, cover each avail
+    edge's (S-vertex, color) pair, and no element covers two matching edges."""
+    mixed, single = 0, set()
+    for incident in side:
+        edges = avail & incident
+        if edges:
+            c = colors[(edges & -edges).bit_length() - 1]
+            if edges & ~color_masks[c]:
+                mixed += 1
+            else:
+                single.add(c)
+    return mixed + len(single)
+
+
 def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitness | None:
     """Exact decision: a rainbow matching of size m, or None if there is none.
 
     Backtracks over edges in ascending index order.  A node's `avail` bitmask
     holds the later edges that share no vertex with a chosen edge and repeat
-    no chosen color.  Two admissible prunes cut the tree: the number of
-    distinct colors in avail, and the matching number of avail.  The returned
-    witness is the lexicographically smallest edge-index sequence, so results
-    are stable across runs.
+    no chosen color, so its answer depends on (avail, need) alone and an
+    exhausted pair is refuted for good.  Admissible prunes, cheapest first: the
+    colors in avail, each side's _side_cover, the matching number of avail.
+    The tree is thus a subtree of the one without refutation or _side_cover,
+    and the witness is the lexicographically smallest edge-index sequence.
     """
     if m < 1:
         raise ValueError(f"matching size must be positive, got {m}")
@@ -103,19 +122,25 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
     color_masks = [0] * (coloring.color_count + 1)
     for j, c in enumerate(colors):
         color_masks[c] |= 1 << j
+    sides = [[g.incidence[v] for v in side] for side in g.bipartition or ()]
     memo: dict[int, int] = {}
+    refuted: set[tuple[int, int]] = set()
     chosen: list[int] = []
 
     def search(avail: int, need: int) -> bool:
         if need == 0:
             return True
+        if (avail, need) in refuted:
+            return False
         # distinct colors in avail, counted up to need
         rest, distinct = avail, 0
         while rest and distinct < need:
             rest &= ~color_masks[colors[(rest & -rest).bit_length() - 1]]
             distinct += 1
-        if distinct < need or _matching_number(avail, disjoint, memo) < need:
+        if (distinct < need or any(_side_cover(avail, s, colors, color_masks) < need for s in sides)
+                or _matching_number(avail, disjoint, memo) < need):
             return False
+        refuted.add((avail, need))  # a True below ends the whole search
         while avail:
             low = avail & -avail
             j = low.bit_length() - 1

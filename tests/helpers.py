@@ -8,7 +8,9 @@ second route to find_rainbow_matching's answer on small colored graphs, the
 enumeration of every canonical coloring (canonical_colorings), the second
 route to rb_exact's pruned search, the union over every rainbow matching of
 the edges it avoids (brute_closable), the second route to rb_exact's search
-kernel, and the scan of every (m-1)-vertex subset (brute_cover_ext), the
+kernel, the largest rainbow matching inside an edge bitmask
+(brute_max_rainbow_matching), the yardstick of find_rainbow_matching's side
+cover bound, and the scan of every (m-1)-vertex subset (brute_cover_ext), the
 second route to ext_exact's cover branch and bound.
 The augmenting-path matching size is not brute force, but it shares nothing
 with the bitmask branching of max_matching_size, so it checks that routine on
@@ -110,6 +112,19 @@ def brute_closable(g: Graph, colors, avail: int, need: int, target: int) -> int:
             if not touched & set(g.edge(j)):
                 closable |= 1 << (j - 1)
     return closable
+
+
+def brute_max_rainbow_matching(g: Graph, colors, avail: int) -> int:
+    """The size of a largest rainbow matching among the edges of bitmask
+    `avail`, in Graph's encoding (bit j is edge j + 1) with colors[j] the
+    color of edge j + 1: the largest avail subset whose edges are pairwise
+    disjoint and pairwise distinct in color."""
+    edges = [i for i in range(1, g.edge_count + 1) if avail >> (i - 1) & 1]
+    for size in range(min(len(edges), g.vertex_count // 2), 0, -1):
+        for combo in combinations(edges, size):
+            if len({colors[i - 1] for i in combo}) == size and is_disjoint_edge_set(g, combo):
+                return size
+    return 0
 
 
 def augmenting_path_matching_size(g: Graph) -> int:

@@ -93,6 +93,25 @@ def test_color_count_formulas():
         assert extremal_coloring_path_tight(n, m).colors_used == 2 * m - 2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: extremal_coloring_regular(make_circulant_regular_bipartite(12, 5), 7),
+        lambda: extremal_coloring_regular(make_circulant_regular_bipartite(16, 4), 9),
+        lambda: extremal_coloring_path_simple(60, 16),
+        lambda: extremal_coloring_path_tight(30, 11),
+        lambda: extremal_coloring_cycle_tight(30, 11),
+        lambda: extremal_coloring_cycle_tight(29, 11),  # odd, so non-bipartite
+        lambda: extremal_coloring_cycle_tight(27, 10),
+    ],
+    ids=["regular_c12_5_m7", "regular_c16_4_m9", "path_simple_60_16", "path_tight_30_11",
+         "cycle_tight_30_11", "cycle_tight_29_11", "cycle_tight_27_10"],
+)
+def test_constructions_certify_at_scale(build):
+    # each is certified by an exhaustive search, never assumed
+    assert build().rainbow_free_certified
+
+
 def test_certification_is_rechecking_the_search():
     report = extremal_coloring_path_tight(6, 3)
     assert find_rainbow_matching(report.graph, report.coloring, 3) is None

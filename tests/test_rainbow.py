@@ -8,6 +8,9 @@ from rainbowlab import (
     Graph,
     RainbowWitness,
     ext_exact,
+    extremal_coloring_cycle_tight,
+    extremal_coloring_path_simple,
+    extremal_coloring_path_tight,
     find_rainbow_matching,
     make_circulant_regular_bipartite,
     make_cycle,
@@ -15,11 +18,13 @@ from rainbowlab import (
     max_matching_size,
     extremal_coloring_regular,
 )
+from rainbowlab.rainbow import _side_cover
 from helpers import (
     canonical_colorings,
     brute_first_rainbow_matching,
     brute_has_rainbow_matching,
     brute_max_matching_size,
+    brute_max_rainbow_matching,
     enumerate_representative_choices,
     random_bipartite,
 )
@@ -86,6 +91,109 @@ def test_witness_is_lexicographically_first_rainbow_matching(seed):
     for m in range(1, brute_max_matching_size(g) + 2):
         w = find_rainbow_matching(g, c, m)
         assert (None if w is None else (w.edges, w.colors)) == brute_first_rainbow_matching(g, c, m)
+
+
+def _dense_coloring(assignment) -> Coloring:
+    remap = {c: i + 1 for i, c in enumerate(sorted(set(assignment)))}
+    return Coloring(tuple(remap[a] for a in assignment), len(remap))
+
+
+def _random_coloring(rng: random.Random, edge_count: int) -> Coloring:
+    t = rng.randint(1, edge_count)
+    return _dense_coloring([rng.randint(1, t) for _ in range(edge_count)])
+
+
+def _color_masks(colors) -> list[int]:
+    masks = [0] * (max(colors) + 1)
+    for j, c in enumerate(colors):
+        masks[c] |= 1 << j
+    return masks
+
+
+def _assert_witness_is_brute_first_for_every_m(g: Graph, c: Coloring):
+    for m in range(1, brute_max_matching_size(g) + 2):
+        w = find_rainbow_matching(g, c, m)
+        assert (None if w is None else (w.edges, w.colors)) == brute_first_rainbow_matching(g, c, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_witness_is_brute_first_on_bipartite_graphs_of_up_to_14_edges(seed):
+    # sides of up to 6 vertices, where the side cover cuts
+    rng = random.Random(seed)
+    g = random_bipartite(rng, max_side=6, p=rng.uniform(0.2, 0.6))
+    if not g.edges:
+        return
+    g = Graph(g.vertex_count, tuple(rng.sample(g.edges, min(14, g.edge_count))))
+    _assert_witness_is_brute_first_for_every_m(g, _random_coloring(rng, g.edge_count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_witness_is_brute_first_on_non_bipartite_graphs_of_up_to_12_edges(seed):
+    # an odd cycle plus random chords and pendant edges, so no side cover applies
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    cycle = rng.sample(range(n), rng.randrange(3, n + 1, 2))
+    edges = {tuple(sorted((u, cycle[(i + 1) % len(cycle)]))) for i, u in enumerate(cycle)}
+    others = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - edges)
+    edges |= set(rng.sample(others, min(len(others), rng.randint(0, 12 - len(edges)))))
+    g = Graph(n, tuple(rng.sample(sorted(edges), len(edges))))
+    assert g.bipartition is None
+    _assert_witness_is_brute_first_for_every_m(g, _random_coloring(rng, g.edge_count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_witness_is_brute_first_on_recolored_path_and_cycle_constructions(seed):
+    # the 2m-3 and 2m-2 colorings with up to two edges recolored: unlike random
+    # colorings, their searches come back to refuted (avail, need) pairs
+    rng = random.Random(seed)
+    n = rng.randint(4, 13)
+    if rng.random() < 0.5:
+        m = rng.randint(2, (n + 1) // 2)
+        tight = n <= 3 * m - 3
+        report = (extremal_coloring_path_tight if tight else extremal_coloring_path_simple)(n, m)
+    else:
+        report = extremal_coloring_cycle_tight(n, rng.randint((n + 5) // 3, (n + 2) // 2))
+    assignment = list(report.coloring.assignment)
+    for _ in range(rng.randint(0, 2)):
+        assignment[rng.randrange(n)] = rng.randint(1, max(assignment) + 1)
+    _assert_witness_is_brute_first_for_every_m(report.graph, _dense_coloring(assignment))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000))
+def test_side_cover_bounds_every_rainbow_matching(seed):
+    rng = random.Random(seed)
+    g = random_bipartite(rng, max_side=5, p=rng.uniform(0.2, 0.7))
+    if not 1 <= g.edge_count <= 14:
+        return
+    colors = _random_coloring(rng, g.edge_count).assignment
+    color_masks = _color_masks(colors)
+    avail = rng.getrandbits(g.edge_count)
+    most = brute_max_rainbow_matching(g, colors, avail)
+    for side in g.bipartition:
+        side_masks = [g.incidence[v] for v in side]
+        assert _side_cover(avail, side_masks, colors, color_masks) >= most, (g.edges, colors, avail)
+
+
+def test_a_refuted_pair_does_not_refute_the_same_edges_at_a_smaller_need():
+    # after edges 1 and 3, edges 8-10 (colors 5, 4, 5) hold no rainbow
+    # 2-matching; after edges 1, 4 and 6 the same three edges need only give one
+    g = make_path(10)
+    c = Coloring((3, 3, 1, 2, 1, 1, 3, 5, 4, 5), 5)
+    w = find_rainbow_matching(g, c, 4)
+    assert (w.edges, w.colors) == ((1, 4, 6, 8), (3, 2, 1, 5))
+
+
+def test_side_cover_refutes_the_star_coloring_at_the_root():
+    # the m-2 star centres on Y see many colors, every other Y-vertex only the
+    # shared one: a cover of m-1 elements, so no rainbow 9-matching
+    g = make_circulant_regular_bipartite(16, 4)
+    colors = extremal_coloring_regular(g, 9).coloring.assignment
+    y_masks = [g.incidence[v] for v in g.bipartition[1]]
+    assert _side_cover((1 << g.edge_count) - 1, y_masks, colors, _color_masks(colors)) == 8
 
 
 def test_max_matching_size_non_bipartite():
