@@ -116,6 +116,26 @@ def test_rb_json_reports_value_and_node_count(files, capsys):
     assert record["agrees"] is True
 
 
+@pytest.mark.parametrize(
+    ("family", "m", "formula"),
+    [
+        (["cycle", "4"], 2, [2, "cycle_two_branch (disputed cell)", False]),
+        (["cycle", "6"], 3, [5, "cycle_two_branch", True]),
+        (["complete_bipartite", "3"], 3, [5, "complete_bipartite", True]),
+        (["circulant", "7", "3"], 3, [5, "regular_exact", True]),
+        # T2.5 needs n > 3(m-1), so it says nothing on circulant(3, 3) with m = 2
+        (["circulant", "3", "3"], 2, [None, None, None]),
+    ],
+    ids=["cycle4_disputed", "cycle6", "complete_bipartite3", "circulant7_3", "circulant3_3"],
+)
+def test_rb_json_reports_the_family_formula(family, m, formula, tmp_path, capsys):
+    graph = str(tmp_path / "g.txt")
+    assert main(["gen", *family, "--out", graph]) == EXIT_OK
+    assert main(["rb", graph, str(m), "--budget-edges", "21", "--format", "json"]) == EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)
+    assert [record["formula_value"], record["formula_source"], record["agrees"]] == formula
+
+
 def test_ext_json_reports_the_cover(tmp_path, capsys):
     path, cycle = str(tmp_path / "p6.txt"), str(tmp_path / "c5.txt")
     assert main(["gen", "path", "6", "--out", path]) == EXIT_OK
@@ -170,6 +190,30 @@ def test_construct_json_has_no_duplicate_bound_column(capsys):
     [record] = json.loads(capsys.readouterr().out)
     assert set(record) == {"construction", "colors_used", "rainbow_free_certified", "pattern"}
     assert record["colors_used"] == 3
+
+
+def test_construct_regular_reads_a_graph_file(tmp_path, capsys):
+    graph, coloring = tmp_path / "circ53.txt", tmp_path / "circ53.col"
+    assert main(["gen", "circulant", "5", "3", "--out", str(graph)]) == EXIT_OK
+    assert main(["construct", "regular", str(graph), "3", "--format", "json",
+                 "--out", str(coloring)]) == EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)
+    assert record["construction"] == "regular graph=circ53.txt m=3"
+    assert (record["colors_used"], record["rainbow_free_certified"]) == (4, True)
+    assert main(["check", str(graph), str(coloring), "3"]) == EXIT_OK
+    assert capsys.readouterr().out == "none\n"
+
+
+@pytest.mark.parametrize(
+    "params", [["path_tight", "9"], ["path_tight", "9", "4", "2"], ["regular", "g.txt"]],
+    ids=["too_few", "too_many", "regular_too_few"],
+)
+def test_construct_with_the_wrong_arity_is_a_usage_error(params, capsys):
+    try:
+        code = main(["construct", *params])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
 
 
 def test_regular_claim_without_samples_is_a_usage_error(capsys):
