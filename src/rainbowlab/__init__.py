@@ -25,7 +25,6 @@ from .errors import BudgetExceededError, RainbowLabError
 from .extremal import (
     DEFAULT_EDGE_BUDGET,
     DISPUTED_CYCLE_CASES,
-    CycleFormula,
     ExtResult,
     RbResult,
     ext_exact,

@@ -27,6 +27,7 @@ from .constructions import (
 from .errors import BudgetExceededError
 from .extremal import (
     DEFAULT_EDGE_BUDGET,
+    DISPUTED_CYCLE_CASES,
     ext_exact,
     rb_exact,
     rb_formula_complete_bipartite,
@@ -119,8 +120,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="emit and certify a rainbow-free coloring")
     p.add_argument("kind", choices=("regular", "path_simple", "path_tight", "cycle_tight"))
-    p.add_argument("params", nargs="+",
-                   help="regular: GRAPH_FILE M; others: N M")
+    p.add_argument("source", help="regular: a graph file; others: N")
+    p.add_argument("m", type=int)
     _add_flags(p, "--format", "--out")
 
     p = sub.add_parser("verify", help="sweep one claim id against the exhaustive oracle")
@@ -231,9 +232,9 @@ def _formula_for(meta: dict, edge_count: int, m: int):
         if family == "path":
             return rb_formula_path(edge_count, m), "path_two_branch"
         if family == "cycle":
-            value = rb_formula_cycle(edge_count, m)
-            source = "cycle_two_branch (disputed cell)" if value.disputed else "cycle_two_branch"
-            return value.value, source
+            disputed = (edge_count, m) in DISPUTED_CYCLE_CASES
+            source = "cycle_two_branch (disputed cell)" if disputed else "cycle_two_branch"
+            return rb_formula_cycle(edge_count, m), source
         if family == "complete_bipartite":
             return rb_formula_complete_bipartite(int(meta["n"]), m), "complete_bipartite"
         if family in ("circulant", "random_regular"):
@@ -278,7 +279,7 @@ def _cmd_ext(args) -> int:
         "family": meta.get("family", "unknown"),
         "m": args.m,
         "value": result.value,
-        "method": result.method,
+        "method": "branch_and_bound" if result.cover is None else "cover_based",
         "witness_edges": sorted(result.witness_edges),
         "cover": sorted(result.cover) if result.cover is not None else None,
     }
@@ -300,18 +301,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    kind = args.kind
+    kind, m = args.kind, args.m
     if kind == "regular":
-        if len(args.params) != 2:
-            raise ValueError("construct regular takes GRAPH_FILE M")
-        g = load_graph(Path(args.params[0]))
-        m = int(args.params[1])
-        report = extremal_coloring_regular(g, m)
-        label = f"{kind} graph={Path(args.params[0]).name} m={m}"
+        path = Path(args.source)
+        report = extremal_coloring_regular(load_graph(path), m)
+        label = f"{kind} graph={path.name} m={m}"
     else:
-        if len(args.params) != 2:
-            raise ValueError(f"construct {kind} takes N M")
-        n, m = int(args.params[0]), int(args.params[1])
+        n = int(args.source)
         builder = {
             "path_simple": extremal_coloring_path_simple,
             "path_tight": extremal_coloring_path_tight,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 from .colorings import Coloring
 from .errors import BudgetExceededError
@@ -29,7 +28,6 @@ from .rainbow import _matching_number, find_rainbow_matching, max_matching_size
 __all__ = [
     "ExtResult",
     "RbResult",
-    "CycleFormula",
     "DISPUTED_CYCLE_CASES",
     "DEFAULT_EDGE_BUDGET",
     "ext_exact",
@@ -55,13 +53,12 @@ DISPUTED_CYCLE_CASES = frozenset({(4, 2)})
 
 @dataclass(frozen=True)
 class ExtResult:
-    """Largest m-matching-free edge subset: its size, one attaining subset,
-    which search produced it and, on the cover route, the at most m-1
-    vertices whose incident edges are that subset (None otherwise)."""
+    """Largest m-matching-free edge subset: its size, one attaining subset
+    and, on the cover route, the at most m-1 vertices whose incident edges
+    are that subset (None on the branch-and-bound route)."""
 
     value: int
     witness_edges: frozenset[int]
-    method: str  # "cover_based" | "branch_and_bound"
     cover: frozenset[int] | None
 
 
@@ -72,13 +69,6 @@ class RbResult:
     extremal_coloring: Coloring | None
     colorings_examined: int
     elapsed_ms: float
-
-
-class CycleFormula(NamedTuple):
-    """Cycle formula value plus an advisory flag for the disputed cell."""
-
-    value: int
-    disputed: bool
 
 
 # --- ext --------------------------------------------------------------------
@@ -107,7 +97,7 @@ def ext_exact(g: Graph, m: int) -> ExtResult:
     if m < 1:
         raise ValueError(f"matching size must be at least 1, got m={m} (m=0 is vacuous)")
     if m == 1:
-        return ExtResult(0, frozenset(), "cover_based", frozenset())
+        return ExtResult(0, frozenset(), frozenset())
     if g.bipartition is not None:
         return _ext_cover_based(g, m)
     if g.edge_count > NONBIPARTITE_EXT_MAX_EDGES:
@@ -148,7 +138,7 @@ def _ext_cover_based(g: Graph, m: int) -> ExtResult:
 
     extend(0, cover_size, 0)
     witness = frozenset(j + 1 for j in range(g.edge_count) if best_mask >> j & 1)
-    return ExtResult(best_value, witness, "cover_based", frozenset(best_cover))
+    return ExtResult(best_value, witness, frozenset(best_cover))
 
 
 def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
@@ -173,17 +163,12 @@ def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
 
     bb(0, 0, 0)
     witness = frozenset(j + 1 for j in range(edge_count) if best_mask >> j & 1)
-    return ExtResult(best_value, witness, "branch_and_bound", None)
+    return ExtResult(best_value, witness, None)
 
 
 def ext_formula_regular(n: int, k: int, m: int) -> int:
     """Closed form k*(m-1) for k-regular bipartite graphs on n+n vertices."""
-    if k < 1:
-        raise ValueError(f"constraint k >= 1 violated: k={k}")
-    if k > n:
-        raise ValueError(f"constraint k <= n violated: k={k}, n={n}")
-    if not 2 <= m <= n:
-        raise ValueError(f"constraint 2 <= m <= n violated: m={m}, n={n}")
+    _check_regular(n, k, m)
     return k * (m - 1)
 
 
@@ -318,12 +303,13 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
 # --- closed forms -------------------------------------------------------------
 
 
-def rb_bounds_regular(n: int, k: int, m: int) -> tuple[int, int]:
-    """Lower and upper bounds (k(m-2)+2, k(m-1)+1) for k-regular bipartite
-    graphs with sides of size n."""
+def _check_regular(n: int, k: int, m: int) -> None:
+    """Reject parameters outside 1 <= k <= n and 2 <= m <= n, the range of the
+    three k-regular bipartite closed forms, naming the violated constraint."""
     if m == 1:
         raise ValueError(
-            "constraint m >= 2 violated: m=1 is the degenerate case rb(G, one edge) = 1"
+            "constraint m >= 2 violated: m=1 is the degenerate case "
+            "rb(G, one edge) = 1, ext(G, one edge) = 0"
         )
     if k < 1:
         raise ValueError(f"constraint k >= 1 violated: k={k}")
@@ -331,21 +317,20 @@ def rb_bounds_regular(n: int, k: int, m: int) -> tuple[int, int]:
         raise ValueError(f"constraint k <= n violated: k={k}, n={n}")
     if not 2 <= m <= n:
         raise ValueError(f"constraint 2 <= m <= n violated: m={m}, n={n}")
+
+
+def rb_bounds_regular(n: int, k: int, m: int) -> tuple[int, int]:
+    """Lower and upper bounds (k(m-2)+2, k(m-1)+1) for k-regular bipartite
+    graphs with sides of size n."""
+    _check_regular(n, k, m)
     return k * (m - 2) + 2, k * (m - 1) + 1
 
 
 def rb_formula_regular(n: int, k: int, m: int) -> int | None:
     """Exact value k(m-2)+2 for k >= 3 and n > 3(m-1); None where the formula
     makes no claim."""
-    if m < 2:
-        raise ValueError(
-            "constraint m >= 2 violated: m=1 is the degenerate case rb(G, one edge) = 1"
-        )
-    if k > n:
-        raise ValueError(f"constraint k <= n violated: k={k}, n={n}")
-    if k < 3:
-        return None
-    if n <= 3 * (m - 1):
+    _check_regular(n, k, m)
+    if k < 3 or n <= 3 * (m - 1):
         return None
     return k * (m - 2) + 2
 
@@ -357,13 +342,12 @@ def rb_formula_path(n: int, m: int) -> int:
     return 2 * m - 1 if n <= 3 * m - 3 else 2 * m - 2
 
 
-def rb_formula_cycle(n: int, m: int) -> CycleFormula:
-    """Two-branch cycle value, flagged on the cell where the exhaustive oracle
-    is known to disagree (see DISPUTED_CYCLE_CASES)."""
+def rb_formula_cycle(n: int, m: int) -> int:
+    """Two-branch value for the cycle with n edges.  The exhaustive oracle is
+    known to disagree on the cells of DISPUTED_CYCLE_CASES."""
     if not 2 <= m <= n // 2:
         raise ValueError(f"constraint 2 <= m <= floor(n/2) violated: m={m}, n={n}")
-    value = 2 * m - 1 if n <= 3 * m - 3 else 2 * m - 2
-    return CycleFormula(value, (n, m) in DISPUTED_CYCLE_CASES)
+    return 2 * m - 1 if n <= 3 * m - 3 else 2 * m - 2
 
 
 def rb_formula_complete_bipartite(n: int, m: int) -> int:

@@ -11,11 +11,12 @@ search in the package reads its ``incidence`` and ``disjoint`` masks.
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, TextIO
+
+from .errors import BudgetExceededError
 
 __all__ = [
     "Graph",
@@ -169,9 +170,10 @@ def make_random_regular_bipartite(n: int, k: int, seed: int) -> Graph:
     """Seeded k-regular bipartite graph built by superposing k permutations.
 
     Each permutation of 0..n-1 contributes the edges x -> y_perm[x]; a draw
-    that would repeat an edge is retried by backtracking.  If the bounded
-    retry budget runs out the builder falls back to the circulant
-    construction and emits a warning.
+    that would repeat an edge is retried by backtracking, within a budget of
+    RANDOM_REGULAR_MAX_ATTEMPTS * n placements over all k draws; when it runs
+    out the builder raises BudgetExceededError rather than return a graph
+    of another family.
     """
     if not 1 <= k <= n:
         raise ValueError(f"regularity requires 1 <= k <= n, got k={k}, n={n}")
@@ -181,12 +183,10 @@ def make_random_regular_bipartite(n: int, k: int, seed: int) -> Graph:
     for _ in range(k):
         perm = _disjoint_permutation(rng, n, used, budget)
         if perm is None:
-            warnings.warn(
+            raise BudgetExceededError(
                 f"random regular bipartite generation (n={n}, k={k}, seed={seed}) "
-                "exhausted its retry budget; falling back to circulant",
-                stacklevel=2,
+                "exhausted its retry budget"
             )
-            return make_circulant_regular_bipartite(n, k)
         for x in range(n):
             used[x].add(perm[x])
     edges = tuple((x, n + y) for x in range(n) for y in sorted(used[x]))

@@ -209,11 +209,9 @@ def test_construct_regular_reads_a_graph_file(tmp_path, capsys):
     ids=["too_few", "too_many", "regular_too_few"],
 )
 def test_construct_with_the_wrong_arity_is_a_usage_error(params, capsys):
-    try:
-        code = main(["construct", *params])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", *params])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_regular_claim_without_samples_is_a_usage_error(capsys):
@@ -286,6 +284,11 @@ def test_samples_default_to_five_graphs_per_regular_cell(capsys):
     assert [r["family"] for r in records] == ["circulant"] + ["random_regular"] * 4
     assert main(argv + ["--samples", "2"]) == EXIT_OK
     assert len(json.loads(capsys.readouterr().out)) == 2
+
+
+def test_gen_exits_2_when_the_random_regular_budget_runs_out(capsys):
+    assert main(["gen", "random_regular", "16", "12", "--seed", "19"]) == EXIT_BUDGET
+    assert "budget refusal: " in capsys.readouterr().err
 
 
 def test_gen_seed_on_a_family_that_is_not_random_is_a_usage_error(capsys):

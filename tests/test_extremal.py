@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rainbowlab import (
+    DISPUTED_CYCLE_CASES,
     BudgetExceededError,
     Coloring,
     Graph,
@@ -53,7 +54,7 @@ def test_ext_path_matches_brute_force():
     g = make_path(4)
     result = ext_exact(g, 2)
     assert result.value == brute_ext(g, 2) == 2
-    assert result.method == "cover_based"
+    assert result.cover is not None
 
 
 def test_ext_witness_invariants():
@@ -76,7 +77,7 @@ def test_ext_witness_invariants():
 def test_ext_odd_cycle_uses_branch_and_bound():
     g = make_cycle(5)
     result = ext_exact(g, 2)
-    assert result.method == "branch_and_bound"
+    assert result.cover is None
     assert result.value == brute_ext(g, 2)
 
 
@@ -92,7 +93,7 @@ def test_ext_graph_built_without_sides_uses_cover_route():
     # non-bipartite edge limit, so only the cover route can answer.
     g = Graph(10, make_complete_bipartite(5).edges)
     result = ext_exact(g, 3)
-    assert result.method == "cover_based"
+    assert result.cover is not None
     assert result.value == 10 == ext_exact(make_complete_bipartite(5), 3).value
 
 
@@ -175,8 +176,8 @@ def test_ext_cover_route_matches_the_scan_of_every_subset(g):
     for m in range(2, g.vertex_count + 2):
         result = ext_exact(g, m)
         value, witness = brute_cover_ext(g, m)
-        assert (result.value, result.witness_edges, result.method) == (
-            value, witness, "cover_based"), (g.edges, m)
+        assert (result.value, result.witness_edges) == (value, witness), (g.edges, m)
+        assert result.cover is not None
         # the certificate: at most m-1 vertices whose edges are the witness
         assert len(result.cover) <= m - 1
         assert result.witness_edges == frozenset(
@@ -199,7 +200,7 @@ def test_rb_complete_bipartite():
 def test_rb_four_cycle_disagrees_with_formula():
     result = rb_exact(make_cycle(4), 2)
     assert result.rb_value == 3
-    assert rb_formula_cycle(4, 2).value == 2
+    assert rb_formula_cycle(4, 2) == 2
     # the certifying coloring: opposite edges share a color
     assert find_rainbow_matching(make_cycle(4), Coloring((1, 2, 1, 2), 2), 2) is None
 
@@ -400,6 +401,13 @@ def test_regular_formula():
     assert rb_formula_regular(9, 2, 2) is None  # k below 3
 
 
+def test_regular_formula_names_violated_constraint():
+    with pytest.raises(ValueError, match="k >= 1"):
+        rb_formula_regular(5, 0, 2)
+    with pytest.raises(ValueError, match="2 <= m <= n"):
+        rb_formula_regular(5, 3, 6)
+
+
 def test_path_formula():
     assert rb_formula_path(6, 3) == 5
     assert rb_formula_path(7, 3) == 4
@@ -409,10 +417,9 @@ def test_path_formula():
 
 
 def test_cycle_formula():
-    assert rb_formula_cycle(6, 3) == (5, False)
-    assert rb_formula_cycle(8, 3) == (4, False)
-    disputed = rb_formula_cycle(4, 2)
-    assert disputed.value == 2 and disputed.disputed
+    assert rb_formula_cycle(6, 3) == 5 and (6, 3) not in DISPUTED_CYCLE_CASES
+    assert rb_formula_cycle(8, 3) == 4 and (8, 3) not in DISPUTED_CYCLE_CASES
+    assert rb_formula_cycle(4, 2) == 2 and (4, 2) in DISPUTED_CYCLE_CASES
     with pytest.raises(ValueError):
         rb_formula_cycle(5, 3)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rainbowlab import (
+    BudgetExceededError,
     Graph,
     identify_vertices,
     make_circulant_regular_bipartite,
@@ -119,6 +120,12 @@ def test_random_regular_unique_on_three_by_three():
 
 def test_random_regular_deterministic():
     assert make_random_regular_bipartite(6, 3, 1) == make_random_regular_bipartite(6, 3, 1)
+
+
+def test_random_regular_refuses_when_its_retry_budget_runs_out():
+    # seed 19 exhausts the budget; the builder must not hand back another family
+    with pytest.raises(BudgetExceededError, match="n=16, k=12, seed=19"):
+        make_random_regular_bipartite(16, 12, 19)
 
 
 def test_handshake_identity_across_builders():
