@@ -103,9 +103,12 @@ def test_color_count_formulas():
         lambda: extremal_coloring_cycle_tight(30, 11),
         lambda: extremal_coloring_cycle_tight(29, 11),  # odd, so non-bipartite
         lambda: extremal_coloring_cycle_tight(27, 10),
+        lambda: extremal_coloring_cycle_tight(43, 22),
+        lambda: extremal_coloring_cycle_tight(45, 23),
     ],
     ids=["regular_c12_5_m7", "regular_c16_4_m9", "path_simple_60_16", "path_tight_30_11",
-         "cycle_tight_30_11", "cycle_tight_29_11", "cycle_tight_27_10"],
+         "cycle_tight_30_11", "cycle_tight_29_11", "cycle_tight_27_10", "cycle_tight_43_22",
+         "cycle_tight_45_23"],
 )
 def test_constructions_certify_at_scale(build):
     # each is certified by an exhaustive search, never assumed

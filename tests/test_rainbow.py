@@ -56,6 +56,40 @@ def test_short_circuit_above_matching_number():
     assert find_rainbow_matching(g, Coloring((1, 2, 3, 4), 4), 3) is None
 
 
+def _complete_graph(n: int) -> Graph:
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def _disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.vertex_count
+    return Graph(offset, tuple(edges))
+
+
+def _double_star(k: int) -> Graph:
+    # adjacent centres 0 and 1, each with k leaves; matching number 2
+    return Graph(2 + 2 * k, ((0, 1), *((0, 2 + i) for i in range(k)),
+                             *((1, 2 + k + i) for i in range(k))))
+
+
+@pytest.mark.parametrize(
+    "g, m",
+    [
+        (_complete_graph(9), 5),
+        (_complete_graph(11), 6),
+        (_disjoint_union(make_cycle(11), make_cycle(11), make_cycle(11)), 16),
+        *((_disjoint_union(*[_double_star(k)] * k), 2 * k + 1) for k in range(2, 6)),
+    ],
+    ids=["K9_m5", "K11_m6", "3xC11_m16", "2xS22_m5", "3xS33_m7", "4xS44_m9", "5xS55_m11"],
+)
+def test_no_rainbow_matching_above_the_matching_number_with_distinct_colors(g, m):
+    # every edge its own color, so only the matching number nu = m - 1 stops the search
+    assert max_matching_size(g) == m - 1
+    assert find_rainbow_matching(g, Coloring(tuple(range(1, g.edge_count + 1)), g.edge_count), m) is None
+
+
 def test_rejects_mismatched_coloring():
     with pytest.raises(ValueError):
         find_rainbow_matching(make_path(4), Coloring((1, 2), 2), 2)
