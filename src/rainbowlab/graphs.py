@@ -97,15 +97,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [mask.bit_count() for mask in self.incidence]
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
 
 def make_path(n: int) -> Graph:
     """Path with n edges on vertices 0..n; edge i joins vertices i-1 and i."""
@@ -252,22 +243,15 @@ def identify_vertices(g: Graph, u: int, v: int) -> Graph:
     The merged vertex takes the id min(u, v); ids above max(u, v) shift down
     by one.  Edge order is preserved: edge i of g is edge i of the result.
     Graph derives the result's bipartition afresh (merging may break or
-    create bipartiteness).
+    create bipartiteness) and rejects the merges that leave it non-simple:
+    adjacent u and v give a self-loop, a shared neighbor a duplicate edge,
+    and either raises ValueError.
     """
     if u == v:
         raise ValueError("cannot identify a vertex with itself")
     for a in (u, v):
         if not 0 <= a < g.vertex_count:
             raise ValueError(f"vertex {a} out of range")
-    nu, nv = g.neighbors(u), g.neighbors(v)
-    if v in nu:
-        raise ValueError(f"vertices {u} and {v} are adjacent; merging would create a loop")
-    common = nu & nv
-    if common:
-        raise ValueError(
-            f"vertices {u} and {v} share neighbors {sorted(common)}; "
-            "merging would create a multi-edge"
-        )
     keep, drop = (u, v) if u < v else (v, u)
 
     def relabel(w: int) -> int:

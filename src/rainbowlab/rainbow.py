@@ -4,14 +4,13 @@ The decision procedure is an exact backtracking search over edges in index
 order.  Edge sets are int bitmasks in Graph's encoding (bit j is edge j + 1):
 Graph.disjoint[j] holds the edges sharing no vertex with edge j + 1, and one
 mask per color holds that color's edges.  Each exhausted subproblem is
-refuted once, and nodes are pruned by the color count, a side-color cover
-(_side_cover) and the memoised exact matching number (_matching_number).
-_matching_number is the package's one matching-number routine:
-max_matching_size, ext_exact's branch and bound and this search all use it.
-rb_exact's one search kernel (extremal._closable) walks the same bitmasks
-without these prunes or a witness, because it runs millions of times per
-search on few edges.  The brute-force oracles the search is cross-checked
-against live with the tests, in tests/helpers.py.
+refuted once, and nodes are pruned by the color count and, on a bipartite
+graph, a side-color cover (_side_cover).  rb_exact's one search kernel
+(extremal._closable) walks the same bitmasks without these prunes or a
+witness, because it runs millions of times per search on few edges.
+_matching_number is the package's one matching-number routine, for
+max_matching_size and ext_exact's branch and bound.  The brute-force oracles
+the search is cross-checked against live with the tests, in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class RainbowWitness:
 def _matching_number(active: int, disjoint: tuple[int, ...], memo: dict[int, int]) -> int:
     """Exact maximum matching size of the edges in the bitmask `active`.
     Branches on the lowest-index edge; exponential but fine at this package's
-    scale.  `memo` maps edge bitmasks to their matching number and may be
-    shared by calls over the same graph."""
+    scale.  `memo` maps edge bitmasks to their matching number; ext_exact's
+    branch and bound shares one across its calls on a graph."""
     if not active:
         return 0
     if active in memo:
@@ -107,7 +106,7 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
     holds the later edges that share no vertex with a chosen edge and repeat
     no chosen color, so its answer depends on (avail, need) alone and an
     exhausted pair is refuted for good.  Admissible prunes, cheapest first: the
-    colors in avail, each side's _side_cover, the matching number of avail.
+    colors in avail and each side's _side_cover.
     The tree is thus a subtree of the one without refutation or _side_cover,
     and the witness is the lexicographically smallest edge-index sequence.
     """
@@ -123,7 +122,6 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
     for j, c in enumerate(colors):
         color_masks[c] |= 1 << j
     sides = [[g.incidence[v] for v in side] for side in g.bipartition or ()]
-    memo: dict[int, int] = {}
     refuted: set[tuple[int, int]] = set()
     chosen: list[int] = []
 
@@ -137,8 +135,7 @@ def find_rainbow_matching(g: Graph, coloring: Coloring, m: int) -> RainbowWitnes
         while rest and distinct < need:
             rest &= ~color_masks[colors[(rest & -rest).bit_length() - 1]]
             distinct += 1
-        if (distinct < need or any(_side_cover(avail, s, colors, color_masks) < need for s in sides)
-                or _matching_number(avail, disjoint, memo) < need):
+        if distinct < need or any(_side_cover(avail, s, colors, color_masks) < need for s in sides):
             return False
         refuted.add((avail, need))  # a True below ends the whole search
         while avail:

@@ -221,11 +221,13 @@ def monotonicity_records(*, n_range=None, m_range=None, samples: int | None = No
                          timeout_ms: float | None = None) -> list[VerificationRecord]:
     """Identification monotonicity: closing a path into a cycle never lowers
     the rainbow number, plus seeded random identifications on small graphs."""
+    samples = DEFAULT_SAMPLES if samples is None else samples
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0 (no random identifications), got {samples}")
     records = verify_theorem("T3.2/C3.3", n_range=n_range, m_range=m_range, seed=seed,
                              edge_budget=edge_budget, timeout_ms=timeout_ms)
-    records.extend(_random_identification_records(
-        DEFAULT_SAMPLES if samples is None else samples, seed,
-        _budgeted_rb(edge_budget, timeout_ms)))
+    records.extend(_random_identification_records(samples, seed,
+                                                  _budgeted_rb(edge_budget, timeout_ms)))
     return records
 
 

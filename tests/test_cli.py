@@ -223,6 +223,11 @@ def test_regular_claim_without_samples_is_a_usage_error(capsys):
     assert families == {"path_vs_cycle"}
 
 
+def test_monotonicity_with_a_negative_sample_count_is_a_usage_error(capsys):
+    assert main(["monotonicity", "--samples", "-1"]) == EXIT_USAGE
+    assert "samples must be at least 0" in capsys.readouterr().err
+
+
 def test_verify_csv_has_the_record_columns(capsys):
     assert main(["verify", "T3.2/C3.3", "--n", "3..4", "--format", "csv"]) == EXIT_OK
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))

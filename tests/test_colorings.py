@@ -62,3 +62,19 @@ def test_color_of_rejects_an_edge_index_outside_the_coloring():
     for index in (0, -1, 3):
         with pytest.raises(IndexError):
             c.color_of(index)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Coloring((1,), 0), "at least one color"),
+        (lambda: Coloring((), 1), "at least one edge"),
+        (lambda: parse_coloring("colouring 1 1\n1 1\n"), "bad coloring header"),
+        (lambda: parse_coloring("coloring 1 1\n1 1 1\n"), "bad coloring line"),
+        (lambda: parse_coloring("# only a comment\n\n"), "empty coloring file"),
+    ],
+    ids=["no_colors", "no_edges", "bad_header", "bad_line", "empty_file"],
+)
+def test_coloring_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -133,3 +133,26 @@ def test_lower_bound_linkage():
             else extremal_coloring_path_simple(n, m)
         )
         assert rb_exact(make_path(n), m).f_value >= applicable.colors_used
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: extremal_coloring_regular(make_cycle(5), 2), "requires a bipartite graph"),
+        (lambda: extremal_coloring_regular(make_cycle(6), 1), r"2 <= m <= \|Y\| violated"),
+        (lambda: extremal_coloring_regular(make_cycle(6), 4), r"2 <= m <= \|Y\| violated"),
+        (lambda: extremal_coloring_path_simple(5, 1), r"2 <= m <= ceil\(n/2\) violated"),
+        (lambda: extremal_coloring_path_simple(5, 4), r"2 <= m <= ceil\(n/2\) violated"),
+        (lambda: extremal_coloring_path_tight(5, 1), r"2 <= m <= ceil\(n/2\) violated"),
+        (lambda: extremal_coloring_path_tight(5, 4), r"2 <= m <= ceil\(n/2\) violated"),
+        (lambda: extremal_coloring_cycle_tight(3, 1), "m >= 2 violated"),
+        (lambda: extremal_coloring_cycle_tight(5, 4), "needs n >= 2m-2"),
+        (lambda: extremal_coloring_cycle_tight(7, 3), "only for n <= 3m-3"),
+    ],
+    ids=["regular_odd_cycle", "regular_m1", "regular_m_above_y", "path_simple_m1",
+         "path_simple_m_too_big", "path_tight_m1", "path_tight_m_too_big", "cycle_tight_m1",
+         "cycle_tight_short_cycle", "cycle_tight_long_cycle"],
+)
+def test_construction_range_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

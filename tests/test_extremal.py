@@ -436,3 +436,17 @@ def test_matching_number_guard_uses_exact_value():
     # rb_exact's matching-number precondition agrees with brute force
     for g in [make_path(5), make_cycle(5), make_cycle(6)]:
         assert brute_max_matching_size(g) == max_matching_size(g)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: rb_exact(make_path(3), 0), "matching size must be positive"),
+        (lambda: rb_exact(Graph(3, ()), 1), "graphs with no edges"),
+        (lambda: rb_formula_complete_bipartite(3, 4), r"2 <= m <= n violated"),
+    ],
+    ids=["rb_exact_m0", "rb_exact_edgeless", "complete_bipartite_m_above_n"],
+)
+def test_rb_input_checks_name_the_violated_constraint(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

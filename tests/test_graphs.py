@@ -15,7 +15,7 @@ from rainbowlab import (
     make_random_regular_bipartite,
     parse_graph,
 )
-from rainbowlab.graphs import format_graph
+from rainbowlab.graphs import format_graph, load_graph, save_graph
 
 
 def test_path_shape():
@@ -190,11 +190,12 @@ def graph_with_mergeable_pair(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
     g = Graph(n, tuple(chosen))
+    nbrs = [{b if a == w else a for a, b in chosen if w in (a, b)} for w in range(n)]
     candidates = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if v not in g.neighbors(u) and not (g.neighbors(u) & g.neighbors(v))
+        if v not in nbrs[u] and not (nbrs[u] & nbrs[v])
     ]
     if not candidates:
         return None
@@ -378,3 +379,33 @@ def test_equality_hash_and_repr_ignore_the_derived_masks():
     assert g.disjoint and g.incidence  # built on g, not yet on h
     assert g == h and hash(g) == hash(h)
     assert repr(g) == repr(h) and "disjoint" not in repr(g) and "incidence" not in repr(g)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Graph(-1, ()), "vertex_count must be non-negative"),
+        (lambda: Graph(2, ((0, 2),)), r"edge \(0, 2\) out of vertex range"),
+        (lambda: parse_graph("graph 3 1\n0 1 2\n"), "bad edge line"),
+        (lambda: parse_graph("# only a comment\n\n"), "empty graph file"),
+        (lambda: make_complete_bipartite(0), "side size must be positive"),
+        (lambda: make_random_regular_bipartite(3, 4, 0), "1 <= k <= n"),
+        (lambda: identify_vertices(make_path(3), 2, 2), "with itself"),
+        (lambda: identify_vertices(make_path(3), 0, 4), "vertex 4 out of range"),
+        (lambda: identify_vertices(make_path(3), -1, 2), "vertex -1 out of range"),
+    ],
+    ids=["negative_vertex_count", "edge_out_of_range", "bad_edge_line", "empty_file",
+         "complete_bipartite_0", "random_regular_k_above_n", "identify_itself",
+         "identify_above_range", "identify_below_range"],
+)
+def test_graph_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_save_then_load_is_identity(tmp_path):
+    g = make_random_regular_bipartite(5, 2, 11)
+    path = tmp_path / "g.txt"
+    save_graph(g, path, comment="two lines\nof comment")
+    assert load_graph(path) == g
+    assert path.read_text().startswith("# two lines\n# of comment\nbipartite 5 5 10\n")

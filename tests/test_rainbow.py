@@ -280,3 +280,27 @@ def test_counting_argument_forces_rainbow():
         for c in canonical_colorings(g.edge_count, max_colors=min(g.edge_count, cap + 2)):
             if c.color_count > cap:
                 assert find_rainbow_matching(g, c, m) is not None, (g.edges, c, m)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: find_rainbow_matching(make_path(3), Coloring((1, 2, 3), 3), 0),
+         "matching size must be positive"),
+        (lambda: RainbowWitness((1, 3), (1,)), "must align"),
+        (lambda: RainbowWitness((1, 3), (2, 2)), "pairwise distinct"),
+    ],
+    ids=["search_m0", "witness_misaligned", "witness_repeated_color"],
+)
+def test_rainbow_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [RainbowWitness((1, 2), (1, 2)), RainbowWitness((1,), (2,))],
+    ids=["shared_vertex", "wrong_color"],
+)
+def test_witness_that_is_no_rainbow_matching_fails_verification(witness):
+    assert not witness.verify(make_path(4), Coloring((1, 2, 1, 2), 2))

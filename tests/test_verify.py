@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from rainbowlab import THEOREM_IDS, monotonicity_records, verify_theorem
+from rainbowlab import THEOREM_IDS, apply_allowlist, monotonicity_records, verify_theorem
+from rainbowlab.verify import VerificationRecord
 from rainbowlab.cli import main
 
 # Records of each claim on its default grid: T2.x sweep n = 3..5, k = 2..n,
@@ -87,3 +88,25 @@ def test_path_and_cycle_claims_refuse_a_sample_count(theorem_id):
         verify_theorem(theorem_id, samples=5)
     # the seed is accepted by every claim, read or not
     assert verify_theorem(theorem_id, n_range=(4, 4), seed=3)
+
+
+def test_random_identifications_skip_the_pairs_that_graph_rejects():
+    # seed 7 draws adjacent pairs or pairs with a shared neighbour at trials 1, 3, 6, 7, 9
+    # and 10; Graph rejects the merged loop or multi-edge, so those trials get no record
+    records = monotonicity_records(n_range=(3, 3), samples=6, seed=7)
+    assert [(r.seed, r.n, r.note) for r in records] == [
+        (7 + trial, n, f"merged vertices {u} and {v} of a path with {n} edges")
+        for trial, n, u, v in [(2, 5, 0, 4), (4, 5, 4, 1), (5, 5, 0, 3), (8, 5, 4, 0),
+                               (11, 8, 0, 3), (12, 5, 4, 1)]
+    ]
+
+
+def test_allowlist_entry_for_another_claim_acknowledges_nothing():
+    entries = [{"theorem_id": "T3.5", "family": "cycle", "n": 4, "m": 2}]
+    record = VerificationRecord("T3.6", "cycle", 4, None, 2, None, 2, 3, "discrepancy", 0.0)
+    apply_allowlist([record], entries)
+    assert not record.acknowledged
+    entries.append({"theorem_id": "T3.6", "family": "cycle", "n": 4, "m": 2})
+    match = VerificationRecord("T3.6", "cycle", 4, None, 2, None, 3, 3, "match", 0.0)
+    apply_allowlist([match, record], entries)
+    assert record.acknowledged and not match.acknowledged
