@@ -223,7 +223,8 @@ def monotonicity_records(*, n_range=None, m_range=None, samples: int | None = No
     the rainbow number, plus seeded random identifications on small graphs."""
     samples = DEFAULT_SAMPLES if samples is None else samples
     if samples < 0:
-        raise ValueError(f"samples must be at least 0 (no random identifications), got {samples}")
+        raise ValueError("samples must be at least 0 (0 skips the random identifications), "
+                         f"got {samples}")
     records = verify_theorem("T3.2/C3.3", n_range=n_range, m_range=m_range, seed=seed,
                              edge_budget=edge_budget, timeout_ms=timeout_ms)
     records.extend(_random_identification_records(samples, seed,

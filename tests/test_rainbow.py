@@ -85,9 +85,10 @@ def _double_star(k: int) -> Graph:
     ids=["K9_m5", "K11_m6", "3xC11_m16", "2xS22_m5", "3xS33_m7", "4xS44_m9", "5xS55_m11"],
 )
 def test_no_rainbow_matching_above_the_matching_number_with_distinct_colors(g, m):
-    # every edge its own color, so only the matching number nu = m - 1 stops the search
+    # every edge its own color, so the color count never binds; the answer rests on nu = m - 1
     assert max_matching_size(g) == m - 1
-    assert find_rainbow_matching(g, Coloring(tuple(range(1, g.edge_count + 1)), g.edge_count), m) is None
+    distinct = Coloring(tuple(range(1, g.edge_count + 1)), g.edge_count)
+    assert find_rainbow_matching(g, distinct, m) is None
 
 
 def test_rejects_mismatched_coloring():
