@@ -315,6 +315,39 @@ def test_known_discrepancy_exits_3_unless_allowlisted(capsys):
     assert record["acknowledged"] is True
 
 
+def test_verify_summary_counts_every_status(capsys):
+    assert main(["verify", "T2.4", "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "matches=0 within_bounds=70 discrepancies=0 (acknowledged=0) not_applicable=20\n")
+
+
+@pytest.mark.parametrize(
+    ("extra", "stream"),
+    [
+        ([], "out"),
+        (["--format", "json"], "err"),
+        (["--format", "csv"], "err"),
+        (["--out", "{out}"], "out"),
+        (["--format", "json", "--out", "{out}"], "out"),
+        (["--format", "csv", "--out", "{out}"], "out"),
+    ],
+    ids=["table", "json", "csv", "table_out", "json_out", "csv_out"],
+)
+@pytest.mark.parametrize("allowlisted", [False, True], ids=["bare", "allowlisted"])
+def test_summary_line_stays_off_the_stream_that_carries_json_or_csv(
+        extra, stream, allowlisted, tmp_path, capsys):
+    argv = ["verify", "T3.6", "--n", "3..6", "--m", "2"]
+    argv += [a.format(out=tmp_path / "records") for a in extra]
+    if allowlisted:
+        argv += ["--allowlist", str(ALLOWLIST)]
+    assert main(argv) == (EXIT_OK if allowlisted else EXIT_DISCREPANCY)
+    captured = capsys.readouterr()
+    line = ("matches=2 within_bounds=0 discrepancies=1 "
+            f"(acknowledged={int(allowlisted)}) not_applicable=0")
+    assert getattr(captured, stream).splitlines()[-1] == line
+    assert line not in (captured.err if stream == "out" else captured.out)
+
+
 @pytest.mark.parametrize("line", ["T3.6 colour=red", "T3.6 n4"], ids=["unknown_key", "no_equals"])
 def test_malformed_allowlist_is_a_usage_error(line, tmp_path, capsys):
     allowlist = tmp_path / "bad.allow"
