@@ -56,7 +56,6 @@ from .verify import (
     apply_allowlist,
     load_allowlist,
     monotonicity_records,
-    summarize,
     verify_theorem,
 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -43,7 +44,6 @@ from .verify import (
     has_blocking_discrepancy,
     load_allowlist,
     monotonicity_records,
-    summarize,
     summary_line,
     verify_theorem,
 )
@@ -76,69 +76,67 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-_SWEEP_FLAGS = ("--format", "--out", "--seed", "--budget-edges", "--timeout-ms", "--allowlist")
-
-
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    specs = {
-        "--format": dict(choices=("table", "json", "csv"), default="table"),
-        "--out": dict(type=Path, default=None, metavar="FILE"),
-        "--seed": dict(type=int, default=0, metavar="S"),
-        "--budget-edges": dict(type=int, default=DEFAULT_EDGE_BUDGET, metavar="N"),
-        "--timeout-ms": dict(type=float, default=None, metavar="MS"),
-        "--allowlist": dict(type=Path, default=None, metavar="FILE"),
-    }
-    for name in names:
-        parser.add_argument(name, **specs[name])
-
-
+# argparse keeps no state between parse_args calls, so one tree serves every
+# main() call in a process; it is built on first use, not at import.
+@functools.cache
 def build_parser() -> _Parser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None, metavar="FILE")
+    emit = argparse.ArgumentParser(add_help=False, parents=[out])
+    emit.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--budget-edges", type=int, default=DEFAULT_EDGE_BUDGET, metavar="N")
+    search.add_argument("--timeout-ms", type=float, default=None, metavar="MS")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[emit, search])
+    sweep.add_argument("--n", type=_parse_range, default=None, metavar="A..B")
+    sweep.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
+    sweep.add_argument("--samples", type=int, default=None)
+    sweep.add_argument("--seed", type=int, default=0, metavar="S")
+    sweep.add_argument("--allowlist", type=Path, default=None, metavar="FILE")
+
     parser = _Parser(prog="rainbowlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="write a graph file for one of the built-in families")
+    p = sub.add_parser("gen", parents=[out],
+                       help="write a graph file for one of the built-in families")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int, nargs="?", default=None)
     p.add_argument("--seed", type=int, default=None, metavar="S")
-    _add_flags(p, "--out")
 
-    p = sub.add_parser("rb", help="exact rainbow number of m-matchings in a graph file")
+    p = sub.add_parser("rb", parents=[emit, search],
+                       help="exact rainbow number of m-matchings in a graph file")
     p.add_argument("graph", type=Path)
     p.add_argument("m", type=int)
-    _add_flags(p, "--format", "--out", "--budget-edges", "--timeout-ms")
 
-    p = sub.add_parser("ext", help="largest m-matching-free edge count in a graph file")
+    p = sub.add_parser("ext", parents=[emit],
+                       help="largest m-matching-free edge count in a graph file")
     p.add_argument("graph", type=Path)
     p.add_argument("m", type=int)
-    _add_flags(p, "--format", "--out")
 
     p = sub.add_parser("check", help="search a colored graph for a rainbow m-matching")
     p.add_argument("graph", type=Path)
     p.add_argument("coloring", type=Path)
     p.add_argument("m", type=int)
 
-    p = sub.add_parser("construct", help="emit and certify a rainbow-free coloring")
+    p = sub.add_parser("construct", parents=[emit],
+                       help="emit and certify a rainbow-free coloring")
     p.add_argument("kind", choices=("regular", "path_simple", "path_tight", "cycle_tight"))
     p.add_argument("source", help="regular: a graph file; others: N")
     p.add_argument("m", type=int)
-    _add_flags(p, "--format", "--out")
 
-    p = sub.add_parser("verify", help="sweep one claim id against the exhaustive oracle")
+    p = sub.add_parser("verify", parents=[sweep],
+                       help="sweep one claim id against the exhaustive oracle")
     p.add_argument("theorem", choices=THEOREM_IDS)
-    p.add_argument("--n", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--k", type=_parse_range, default=None, metavar="A..B")
-    p.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
-    p.add_argument("--samples", type=int, default=None)
-    _add_flags(p, *_SWEEP_FLAGS)
 
-    p = sub.add_parser("monotonicity",
-                       help="check that identifying vertices never lowers the rainbow number")
-    p.add_argument("--n", type=_parse_range, default=None, metavar="A..B")
-    p.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
-    p.add_argument("--samples", type=int, default=None)
-    _add_flags(p, *_SWEEP_FLAGS)
-
+    sub.add_parser(
+        "monotonicity", parents=[sweep],
+        help="check that identifying vertices never lowers the rainbow number",
+        description="Check that closing a path into a cycle never lowers the rainbow "
+                    "number, then merge random vertex pairs of paths.  --n and --m bound "
+                    "only the path-vs-cycle cells; the --samples random identifications "
+                    "always merge two vertices of a path with 5-8 edges, at m = 2.")
     return parser
 
 
@@ -341,8 +339,7 @@ def _finish_records(records, args) -> int:
         apply_allowlist(records, load_allowlist(args.allowlist))
     rows = [asdict(r) for r in records]
     _emit(rows, RECORD_COLUMNS, args.format, args.out)
-    counts = summarize(records)
-    print(summary_line(counts), file=sys.stderr if args.out is None and args.format != "table" else sys.stdout)
+    print(summary_line(records), file=sys.stderr if args.out is None and args.format != "table" else sys.stdout)
     return EXIT_DISCREPANCY if has_blocking_discrepancy(records) else EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -38,7 +39,6 @@ __all__ = [
     "monotonicity_records",
     "load_allowlist",
     "apply_allowlist",
-    "summarize",
 ]
 
 STATUS_MATCH = "match"
@@ -296,24 +296,12 @@ def apply_allowlist(records: list[VerificationRecord], entries: list[dict]) -> N
                 break
 
 
-_SUMMARY_KEYS = {STATUS_MATCH: "matches", STATUS_WITHIN_BOUNDS: "within_bounds",
-                 STATUS_DISCREPANCY: "discrepancies"}
-
-
-def summarize(records: list[VerificationRecord]) -> dict:
-    counts = dict.fromkeys(("matches", "within_bounds", "discrepancies", "acknowledged",
-                            "not_applicable"), 0)
-    for record in records:
-        counts[_SUMMARY_KEYS.get(record.status, "not_applicable")] += 1
-        if record.status == STATUS_DISCREPANCY and record.acknowledged:
-            counts["acknowledged"] += 1
-    return counts
-
-
-def summary_line(counts: dict) -> str:
-    return ("matches={matches} within_bounds={within_bounds} "
-            "discrepancies={discrepancies} (acknowledged={acknowledged}) "
-            "not_applicable={not_applicable}".format(**counts))
+def summary_line(records: list[VerificationRecord]) -> str:
+    counts = Counter(r.status for r in records)
+    acknowledged = sum(r.status == STATUS_DISCREPANCY and r.acknowledged for r in records)
+    return (f"matches={counts[STATUS_MATCH]} within_bounds={counts[STATUS_WITHIN_BOUNDS]} "
+            f"discrepancies={counts[STATUS_DISCREPANCY]} (acknowledged={acknowledged}) "
+            f"not_applicable={counts[STATUS_NOT_APPLICABLE]}")
 
 
 def has_blocking_discrepancy(records: list[VerificationRecord]) -> bool:

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ from rainbowlab.cli import (
     main,
 )
 
-ALLOWLIST = Path(__file__).resolve().parent.parent / "known_discrepancies.allow"
+ROOT = Path(__file__).resolve().parent.parent
+ALLOWLIST = ROOT / "known_discrepancies.allow"
 
 # The shared flags each subcommand reads; every other shared flag is rejected.
 HONOURED = {
@@ -119,21 +123,35 @@ def test_rb_json_reports_value_and_node_count(files, capsys):
 @pytest.mark.parametrize(
     ("family", "m", "formula"),
     [
-        (["cycle", "4"], 2, [2, "cycle_two_branch (disputed cell)", False]),
-        (["cycle", "6"], 3, [5, "cycle_two_branch", True]),
-        (["complete_bipartite", "3"], 3, [5, "complete_bipartite", True]),
-        (["circulant", "7", "3"], 3, [5, "regular_exact", True]),
+        (["cycle", "4"], 2, [3, 2, "cycle_two_branch (disputed cell)", False]),
+        (["cycle", "6"], 3, [5, 5, "cycle_two_branch", True]),
+        (["complete_bipartite", "3"], 3, [5, 5, "complete_bipartite", True]),
+        (["circulant", "7", "3"], 3, [5, 5, "regular_exact", True]),
         # T2.5 needs n > 3(m-1), so it says nothing on circulant(3, 3) with m = 2
-        (["circulant", "3", "3"], 2, [None, None, None]),
+        (["circulant", "3", "3"], 2, [2, None, None, None]),
+        # the path formula rejects m = 1
+        (["path", "6"], 1, [1, None, None, None]),
     ],
-    ids=["cycle4_disputed", "cycle6", "complete_bipartite3", "circulant7_3", "circulant3_3"],
+    ids=["cycle4_disputed", "cycle6", "complete_bipartite3", "circulant7_3", "circulant3_3",
+         "path6_m1"],
 )
 def test_rb_json_reports_the_family_formula(family, m, formula, tmp_path, capsys):
     graph = str(tmp_path / "g.txt")
     assert main(["gen", *family, "--out", graph]) == EXIT_OK
     assert main(["rb", graph, str(m), "--budget-edges", "21", "--format", "json"]) == EXIT_OK
     [record] = json.loads(capsys.readouterr().out)
-    assert [record["formula_value"], record["formula_source"], record["agrees"]] == formula
+    assert [record[key] for key in ("rb_value", "formula_value", "formula_source",
+                                    "agrees")] == formula
+
+
+def test_rb_json_reports_no_formula_when_the_header_lacks_a_parameter(tmp_path, capsys):
+    graph = tmp_path / "k22.txt"
+    graph.write_text("# rainbowlab family=complete_bipartite\n"
+                     "bipartite 2 2 4\n0 2\n0 3\n1 2\n1 3\n", encoding="utf-8")
+    assert main(["rb", str(graph), "2", "--format", "json"]) == EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)
+    assert (record["family"], record["n"], record["rb_value"]) == ("complete_bipartite", 4, 3)
+    assert [record["formula_value"], record["formula_source"], record["agrees"]] == [None] * 3
 
 
 def test_ext_json_reports_the_cover(tmp_path, capsys):
@@ -367,3 +385,24 @@ def test_uncertified_construction_exits_4(monkeypatch, capsys):
     assert main(["construct", "path_tight", "6", "3", "--format", "json"]) == EXIT_CERTIFICATION
     [record] = json.loads(capsys.readouterr().out)
     assert record["rainbow_free_certified"] is False
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """The CLI as a user runs it: a fresh `python -m rainbowlab.cli` process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "rainbowlab.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+def test_the_module_entry_point_runs_a_sweep():
+    done = _run_module("verify", "T3.5", "--n", "2..5", "--format", "json")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert [record["status"] for record in json.loads(done.stdout)] == ["match"] * 4
+
+
+def test_the_module_entry_point_exits_with_the_budget_refusal_code(tmp_path):
+    graph = tmp_path / "p17.txt"
+    assert main(["gen", "path", "17", "--out", str(graph)]) == EXIT_OK
+    done = _run_module("rb", str(graph), "3")
+    assert done.returncode == EXIT_BUDGET
+    assert "budget refusal:" in done.stderr
