@@ -65,15 +65,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        # a reversed range would sweep no cell and pass having checked nothing
-        if lo > hi:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}: {lo} > {hi}")
-        return lo, hi
-    value = int(text)
-    return value, value
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A or A..B (integers), got {text!r}") from None
+    # a reversed range would sweep no cell and pass having checked nothing
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 # argparse keeps no state between parse_args calls, so one tree serves every

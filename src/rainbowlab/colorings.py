@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graphs import _data_lines, _format_lines, _ints
+
 __all__ = [
     "Coloring",
     "parse_coloring",
@@ -55,45 +57,36 @@ class Coloring:
         return self.assignment[edge_index - 1]
 
 
-# --- file format ------------------------------------------------------------
+# --- file format: a line file (graphs.py) -------------------------------------
 #
 #   coloring <edge_count> <color_count>
 #   <edge_index> <color_index>               (both 1-based, one line per edge)
 
 
 def format_coloring(coloring: Coloring, *, comment: str | None = None) -> str:
-    lines: list[str] = []
-    if comment:
-        for piece in comment.splitlines():
-            lines.append(f"# {piece}")
-    lines.append(f"coloring {coloring.edge_count} {coloring.color_count}")
-    for i, c in enumerate(coloring.assignment, start=1):
-        lines.append(f"{i} {c}")
-    return "\n".join(lines) + "\n"
+    lines = [f"coloring {coloring.edge_count} {coloring.color_count}"]
+    lines += [f"{i} {c}" for i, c in enumerate(coloring.assignment, start=1)]
+    return _format_lines(lines, comment)
 
 
 def parse_coloring(text: str) -> Coloring:
-    header: list[str] | None = None
+    lines = _data_lines(text)
+    raw_line, header = next(lines, (None, None))
+    if header is None:
+        raise ValueError("empty coloring file")
+    if header[0] != "coloring" or len(header) != 3:
+        raise ValueError(f"bad coloring header: {raw_line!r}")
+    edge_count, color_count = _ints(raw_line, header[1:])
     seen: dict[int, int] = {}
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            header = line.split()
-            if header[0] != "coloring" or len(header) != 3:
-                raise ValueError(f"bad coloring header: {raw_line!r}")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad coloring line: {raw_line!r}")
-        edge_index, color = int(parts[0]), int(parts[1])
+    for raw_line, fields in lines:
+        try:
+            i, c = fields
+            edge_index, color = int(i), int(c)
+        except ValueError:
+            raise ValueError(f"bad coloring line: {raw_line!r}") from None
         if edge_index in seen:
             raise ValueError(f"edge {edge_index} colored twice")
         seen[edge_index] = color
-    if header is None:
-        raise ValueError("empty coloring file")
-    edge_count, color_count = int(header[1]), int(header[2])
     if set(seen) != set(range(1, edge_count + 1)):
         raise ValueError(f"expected every edge 1..{edge_count} exactly once")
     assignment = tuple(seen[i] for i in range(1, edge_count + 1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colorings import Coloring
+from .extremal import _check_path
 from .graphs import Graph, make_cycle, make_path
 from .rainbow import find_rainbow_matching
 
@@ -28,20 +29,17 @@ __all__ = [
 class ConstructionReport:
     graph: Graph
     coloring: Coloring
-    colors_used: int
     rainbow_free_certified: bool
     pattern: str
+
+    @property
+    def colors_used(self) -> int:
+        return self.coloring.color_count
 
 
 def _report(g: Graph, m: int, coloring: Coloring, pattern: str) -> ConstructionReport:
     certified = find_rainbow_matching(g, coloring, m) is None
-    return ConstructionReport(
-        graph=g,
-        coloring=coloring,
-        colors_used=coloring.color_count,
-        rainbow_free_certified=certified,
-        pattern=pattern,
-    )
+    return ConstructionReport(g, coloring, certified, pattern)
 
 
 def extremal_coloring_regular(g: Graph, m: int) -> ConstructionReport:
@@ -78,8 +76,7 @@ def extremal_coloring_regular(g: Graph, m: int) -> ConstructionReport:
 def extremal_coloring_path_simple(n: int, m: int) -> ConstructionReport:
     """Colors 1..2m-4 on the first edges of the path, one shared color on the
     rest: 2m-3 colors with no rainbow m-matching."""
-    if not 2 <= m <= (n + 1) // 2:
-        raise ValueError(f"constraint 2 <= m <= ceil(n/2) violated: m={m}, n={n}")
+    _check_path(n, m)
     g = make_path(n)
     total = 2 * m - 3
     assignment = tuple(min(i, total) for i in range(1, n + 1))
@@ -87,9 +84,12 @@ def extremal_coloring_path_simple(n: int, m: int) -> ConstructionReport:
     return _report(g, m, coloring, "path_prefix")
 
 
-def _tight_assignment(n: int, m: int) -> tuple[int, ...]:
+def _tight_coloring(n: int, m: int) -> Coloring:
     # p leading blocks of three edges colored (2i, 2i-1, 2i), then fresh
     # colors 2p+1.. on the remaining n-3p edges; 2m-2 colors in total.
+    if n > 3 * m - 3:
+        raise ValueError(f"tight pattern applies only for n <= 3m-3 (got n={n}, m={m}); "
+                         "a longer path takes extremal_coloring_path_simple")
     p = n - (2 * m - 2)
     assignment = [0] * n
     for i in range(1, p + 1):
@@ -98,7 +98,7 @@ def _tight_assignment(n: int, m: int) -> tuple[int, ...]:
         assignment[3 * i - 1] = 2 * i
     for j in range(1, n - 3 * p + 1):
         assignment[3 * p + j - 1] = 2 * p + j
-    return tuple(assignment)
+    return Coloring(tuple(assignment), 2 * m - 2)
 
 
 def extremal_coloring_path_tight(n: int, m: int) -> ConstructionReport:
@@ -106,16 +106,8 @@ def extremal_coloring_path_tight(n: int, m: int) -> ConstructionReport:
     each leading block of three edges, fresh colors on the tail.  A rainbow
     matching can pick at most one edge from each paired block, which caps it
     below m."""
-    if not 2 <= m <= (n + 1) // 2:
-        raise ValueError(f"constraint 2 <= m <= ceil(n/2) violated: m={m}, n={n}")
-    if n > 3 * m - 3:
-        raise ValueError(
-            f"tight pattern applies only for n <= 3m-3 (got n={n}, m={m}); "
-            "use extremal_coloring_path_simple for longer paths"
-        )
-    g = make_path(n)
-    coloring = Coloring(_tight_assignment(n, m), 2 * m - 2)
-    return _report(g, m, coloring, "path_tight")
+    _check_path(n, m)
+    return _report(make_path(n), m, _tight_coloring(n, m), "path_tight")
 
 
 def extremal_coloring_cycle_tight(n: int, m: int) -> ConstructionReport:
@@ -131,10 +123,4 @@ def extremal_coloring_cycle_tight(n: int, m: int) -> ConstructionReport:
         raise ValueError(f"constraint m >= 2 violated: m={m}")
     if n < 2 * m - 2:
         raise ValueError(f"tight pattern needs n >= 2m-2 (got n={n}, m={m})")
-    if n > 3 * m - 3:
-        raise ValueError(
-            f"tight pattern applies only for n <= 3m-3 (got n={n}, m={m})"
-        )
-    g = make_cycle(n)
-    coloring = Coloring(_tight_assignment(n, m), 2 * m - 2)
-    return _report(g, m, coloring, "cycle_tight_adapted")
+    return _report(make_cycle(n), m, _tight_coloring(n, m), "cycle_tight_adapted")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["RainbowLabError", "BudgetExceededError"]
+
 
 class RainbowLabError(Exception):
     """Base class for package-specific failures."""

@@ -65,10 +65,13 @@ class ExtResult:
 @dataclass(frozen=True)
 class RbResult:
     f_value: int
-    rb_value: int
     extremal_coloring: Coloring | None
     colorings_examined: int
     elapsed_ms: float
+
+    @property
+    def rb_value(self) -> int:
+        return self.f_value + 1
 
 
 # --- ext --------------------------------------------------------------------
@@ -290,14 +293,14 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         # Any edge of any coloring is a rainbow 1-matching, so no coloring is
         # rainbow-free and rb = 1 with no extremal coloring to exhibit.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return RbResult(0, 1, None, 0, elapsed_ms)
+        return RbResult(0, None, 0, elapsed_ms)
     best_t, best_assignment, nodes = _search(g.edge_count, g.disjoint, m, deadline)
     assert best_assignment is not None and best_t >= 1  # monochromatic leaf always survives
     extremal = Coloring(best_assignment, best_t)
     if find_rainbow_matching(g, extremal, m) is not None:
         raise AssertionError("search returned a coloring that is not rainbow-free")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return RbResult(best_t, best_t + 1, extremal, nodes, elapsed_ms)
+    return RbResult(best_t, extremal, nodes, elapsed_ms)
 
 
 # --- closed forms -------------------------------------------------------------
@@ -335,25 +338,29 @@ def rb_formula_regular(n: int, k: int, m: int) -> int | None:
     return k * (m - 2) + 2
 
 
-def rb_formula_path(n: int, m: int) -> int:
-    """Exact rainbow number of m-matchings in the path with n edges."""
+def _check_path(n: int, m: int) -> None:
+    """Reject m outside 2 <= m <= ceil(n/2), the range of the path formula and constructions."""
     if not 2 <= m <= (n + 1) // 2:
         raise ValueError(f"constraint 2 <= m <= ceil(n/2) violated: m={m}, n={n}")
+
+
+def rb_formula_path(n: int, m: int) -> int:
+    """Exact rainbow number of m-matchings in the path with n edges."""
+    _check_path(n, m)
     return 2 * m - 1 if n <= 3 * m - 3 else 2 * m - 2
 
 
 def rb_formula_cycle(n: int, m: int) -> int:
-    """Two-branch value for the cycle with n edges.  The exhaustive oracle is
-    known to disagree on the cells of DISPUTED_CYCLE_CASES."""
+    """The path's two-branch value, claimed for the cycle with n edges.  The
+    exhaustive oracle is known to disagree on the cells of DISPUTED_CYCLE_CASES."""
     if not 2 <= m <= n // 2:
         raise ValueError(f"constraint 2 <= m <= floor(n/2) violated: m={m}, n={n}")
-    return 2 * m - 1 if n <= 3 * m - 3 else 2 * m - 2
+    return rb_formula_path(n, m)
 
 
 def rb_formula_complete_bipartite(n: int, m: int) -> int:
-    """Exact value n(m-2)+2 for the complete bipartite graph K_{n,n}."""
+    """Exact value n(m-2)+2 for K_{n,n}, the n-regular bipartite graph."""
     if n < 3:
         raise ValueError(f"constraint n >= 3 violated: n={n}")
-    if not 2 <= m <= n:
-        raise ValueError(f"constraint 2 <= m <= n violated: m={m}, n={n}")
+    _check_regular(n, n, m)
     return n * (m - 2) + 2

@@ -14,7 +14,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .errors import BudgetExceededError
 
@@ -263,67 +263,80 @@ def identify_vertices(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.vertex_count - 1, new_edges)
 
 
-# --- file format ------------------------------------------------------------
+# --- line files ---------------------------------------------------------------
+#
+# Graph and coloring files and the verify allowlist share one syntax, read by
+# _data_lines and written by _format_lines: '#' starts a comment, blank lines
+# are skipped, and each other line is one record.  A graph file:
 #
 #   graph <vertex_count> <edge_count>        (general header)
 #   bipartite <|X|> <|Y|> <edge_count>       (X ids 0..|X|-1, Y ids |X|..)
 #   u v                                      (one edge per line, 0-based ids)
 #
-# Blank lines and '#' comments are ignored; edge index = 1 + position among
-# edge lines.  A bipartite header is checked (every edge crosses its split),
-# but Graph derives the sides, so the round trip is the identity on
-# (vertex_count, ordered edge list, bipartition) and format_graph writes the
-# bipartite header exactly when the derived X is 0..|X|-1.
+# Edge index = 1 + position among edge lines.  A bipartite header is checked
+# (every edge crosses its split), but Graph derives the sides, so the round trip
+# is the identity on (vertex_count, ordered edge list, bipartition), and
+# format_graph writes the bipartite header exactly when the derived X is 0..|X|-1.
 
 
-def format_graph(g: Graph, *, comment: str | None = None) -> str:
-    lines: list[str] = []
+def _data_lines(text: str):
+    """(raw line, fields) for each line of a line file that holds a record."""
+    for raw_line in text.splitlines():
+        # most lines carry no comment; skipping their '#' split is a measurable share of a parse
+        fields = (raw_line.split("#", 1)[0] if "#" in raw_line else raw_line).split()
+        if fields:
+            yield raw_line, fields
+
+
+def _ints(raw_line: str, fields: list[str]) -> tuple[int, ...]:
+    """The fields as integers; a field that is not one is reported with its line."""
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        raise ValueError(f"non-integer field in line {raw_line!r}") from None
+
+
+def _format_lines(lines: list[str], comment: str | None) -> str:
+    """A line file: one '# ' line per line of `comment`, then `lines`."""
     if comment:
-        for piece in comment.splitlines():
-            lines.append(f"# {piece}")
-    sides = g.bipartition
-    if sides is not None and sides[0] == frozenset(range(len(sides[0]))):
-        lines.append(f"bipartite {len(sides[0])} {len(sides[1])} {g.edge_count}")
-    else:
-        lines.append(f"graph {g.vertex_count} {g.edge_count}")
-    for a, b in g.edges:
-        lines.append(f"{a} {b}")
+        lines = [f"# {piece}" for piece in comment.splitlines()] + lines
     return "\n".join(lines) + "\n"
 
 
+def format_graph(g: Graph, *, comment: str | None = None) -> str:
+    sides = g.bipartition
+    if sides is not None and sides[0] == frozenset(range(len(sides[0]))):
+        header = f"bipartite {len(sides[0])} {len(sides[1])} {g.edge_count}"
+    else:
+        header = f"graph {g.vertex_count} {g.edge_count}"
+    return _format_lines([header] + [f"{a} {b}" for a, b in g.edges], comment)
+
+
 def parse_graph(text: str) -> Graph:
-    header: list[str] | None = None
-    edges: list[tuple[int, int]] = []
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            header = line.split()
-            if header[0] not in ("graph", "bipartite") or len(header) != (
-                3 if header[0] == "graph" else 4
-            ):
-                raise ValueError(f"bad graph header: {raw_line!r}")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {raw_line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    lines = _data_lines(text)
+    raw_line, header = next(lines, (None, None))
     if header is None:
         raise ValueError("empty graph file")
-    if header[0] == "graph":
-        vertex_count, edge_count = int(header[1]), int(header[2])
-    else:
-        nx, ny, edge_count = int(header[1]), int(header[2]), int(header[3])
+    if len(header) != {"graph": 3, "bipartite": 4}.get(header[0]):
+        raise ValueError(f"bad graph header: {raw_line!r}")
+    *sides, edge_count = _ints(raw_line, header[1:])
+    edges: list[tuple[int, int]] = []
+    for raw_line, fields in lines:
+        try:
+            u, v = fields
+            edges.append((int(u), int(v)))
+        except ValueError:
+            raise ValueError(f"bad edge line: {raw_line!r}") from None
+    if header[0] == "bipartite":
+        nx, ny = sides
         if nx < 0 or ny < 0:
             raise ValueError(f"bipartite side sizes must be non-negative, got {nx} and {ny}")
-        vertex_count = nx + ny
         for u, v in edges:
             if (u < nx) == (v < nx):
                 raise ValueError(f"edge ({u}, {v}) does not cross the bipartite header's split")
     if len(edges) != edge_count:
         raise ValueError(f"header declares {edge_count} edges, file has {len(edges)}")
-    return Graph(vertex_count, tuple(edges))  # validates ranges, simplicity
+    return Graph(sum(sides), tuple(edges))  # validates ranges, simplicity
 
 
 def save_graph(g: Graph, path, *, comment: str | None = None) -> None:

@@ -27,7 +27,7 @@ from .extremal import (
     rb_formula_path,
     rb_formula_regular,
 )
-from .graphs import Graph, identify_vertices, make_family, make_path
+from .graphs import Graph, _data_lines, _ints, identify_vertices, make_family, make_path
 # Unused here; kept because bench/test_bench.py checks that the benchmark's
 # tracer restores verify.max_matching_size.
 from .rainbow import max_matching_size  # noqa: F401
@@ -254,31 +254,30 @@ def _random_identification_records(samples: int, seed: int, rb) -> list[Verifica
 
 # --- allowlist ----------------------------------------------------------------
 #
-# One acknowledged discrepancy per line:  a theorem id followed by key=value
-# constraints, e.g.
+# A line file (graphs.py) with one acknowledged discrepancy per record: a
+# theorem id followed by key=value constraints, e.g.
 #
 #   T3.6 family=cycle n=4 m=2
 #
 # A record is acknowledged when some entry has its theorem id and every one of
-# its constraints matches the record.  '#' comments and blank lines ignored.
+# its constraints matches the record.
 
 
 def load_allowlist(path) -> list[dict]:
     entries: list[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw_line in fh:
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            entry: dict = {"theorem_id": parts[0]}
-            for token in parts[1:]:
+        for raw_line, fields in _data_lines(fh.read()):
+            if fields[0] not in _CLAIMS:
+                raise ValueError(f"unknown allowlist theorem id {fields[0]!r} in line "
+                                 f"{raw_line!r}; known: {', '.join(THEOREM_IDS)}")
+            entry: dict = {"theorem_id": fields[0]}
+            for token in fields[1:]:
                 if "=" not in token:
                     raise ValueError(f"bad allowlist token {token!r} in line {raw_line!r}")
                 key, value = token.split("=", 1)
                 if key not in ("family", "n", "k", "m", "seed"):
                     raise ValueError(f"unknown allowlist key {key!r}")
-                entry[key] = value if key == "family" else int(value)
+                entry[key] = value if key == "family" else _ints(raw_line, [value])[0]
             entries.append(entry)
     return entries
 

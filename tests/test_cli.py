@@ -276,6 +276,16 @@ def test_reversed_range_is_a_usage_error(argv, capsys):
     assert "empty range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["x", "3..y", "3..", "..5", "2.5"])
+def test_a_range_that_is_not_integers_names_the_expected_form(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "T3.5", "--n", value])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "A or A..B" in err and repr(value) in err
+    assert "_parse_range" not in err
+
+
 def test_a_sweep_that_selects_no_cell_is_a_usage_error(capsys):
     # k = 9 exceeds n = 3, so no regular graph exists: the sweep would check nothing
     assert main(["verify", "T2.3", "--n", "3", "--k", "9..9"]) == EXIT_USAGE
@@ -366,7 +376,8 @@ def test_summary_line_stays_off_the_stream_that_carries_json_or_csv(
     assert line not in (captured.err if stream == "out" else captured.out)
 
 
-@pytest.mark.parametrize("line", ["T3.6 colour=red", "T3.6 n4"], ids=["unknown_key", "no_equals"])
+@pytest.mark.parametrize("line", ["T3.6 colour=red", "T3.6 n4", "T3.7 n=4"],
+                         ids=["unknown_key", "no_equals", "unknown_theorem"])
 def test_malformed_allowlist_is_a_usage_error(line, tmp_path, capsys):
     allowlist = tmp_path / "bad.allow"
     allowlist.write_text(line + "\n", encoding="utf-8")
