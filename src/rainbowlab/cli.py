@@ -31,12 +31,9 @@ from .extremal import (
     DISPUTED_CYCLE_CASES,
     ext_exact,
     rb_exact,
-    rb_formula_complete_bipartite,
-    rb_formula_cycle,
-    rb_formula_path,
-    rb_formula_regular,
+    rb_formula,
 )
-from .graphs import FAMILIES, format_graph, load_graph, make_family
+from .graphs import FAMILIES, Graph, format_graph, load_graph, make_family, parse_graph
 from .rainbow import find_rainbow_matching
 from .verify import (
     THEOREM_IDS,
@@ -193,17 +190,18 @@ def _cell(value) -> str:
 # --- graph file metadata --------------------------------------------------------
 
 
-def _read_metadata(path: Path) -> dict:
+def _load_graph_and_metadata(path: Path) -> tuple[Graph, dict]:
+    """A graph file's graph and the key=value tokens of its `# rainbowlab` lines."""
+    text = path.read_text(encoding="utf-8")
     meta: dict = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
-        if not line.startswith("# rainbowlab"):
-            continue
-        for token in line.removeprefix("# rainbowlab").split():
-            if "=" in token:
-                key, value = token.split("=", 1)
-                meta[key] = value
-    return meta
+        if line.startswith("# rainbowlab"):
+            for token in line.removeprefix("# rainbowlab").split():
+                if "=" in token:
+                    key, value = token.split("=", 1)
+                    meta[key] = value
+    return parse_graph(text), meta
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -227,26 +225,20 @@ def _formula_for(meta: dict, edge_count: int, m: int):
     """(formula_value, formula_source) for a known family, else (None, None)."""
     family = meta.get("family")
     try:
-        if family == "path":
-            return rb_formula_path(edge_count, m), "path_two_branch"
-        if family == "cycle":
-            disputed = (edge_count, m) in DISPUTED_CYCLE_CASES
-            source = "cycle_two_branch (disputed cell)" if disputed else "cycle_two_branch"
-            return rb_formula_cycle(edge_count, m), source
-        if family == "complete_bipartite":
-            return rb_formula_complete_bipartite(int(meta["n"]), m), "complete_bipartite"
-        if family in ("circulant", "random_regular"):
-            value = rb_formula_regular(int(meta["n"]), int(meta["k"]), m)
-            if value is not None:
-                return value, "regular_exact"
+        n = edge_count if family in ("path", "cycle") else int(meta["n"])
+        value = rb_formula(family, n, int(meta["k"]) if "k" in meta else None, m)
     except (ValueError, KeyError):
-        pass
-    return None, None
+        return None, None
+    if value is None:
+        return None, None
+    source = {"path": "path_two_branch", "cycle": "cycle_two_branch",
+              "complete_bipartite": "complete_bipartite"}.get(family, "regular_exact")
+    disputed = family == "cycle" and (n, m) in DISPUTED_CYCLE_CASES
+    return value, f"{source} (disputed cell)" if disputed else source
 
 
 def _cmd_rb(args) -> int:
-    g = load_graph(args.graph)
-    meta = _read_metadata(args.graph)
+    g, meta = _load_graph_and_metadata(args.graph)
     result = rb_exact(g, args.m, edge_budget=args.budget_edges, timeout_ms=args.timeout_ms)
     formula_value, formula_source = _formula_for(meta, g.edge_count, args.m)
     record = {
@@ -263,14 +255,12 @@ def _cmd_rb(args) -> int:
         "colorings_examined": result.colorings_examined,
         "elapsed_ms": result.elapsed_ms,
     }
-    columns = list(record.keys())
-    _emit([record], columns, args.format, args.out)
+    _emit([record], list(record.keys()), args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_ext(args) -> int:
-    g = load_graph(args.graph)
-    meta = _read_metadata(args.graph)
+    g, meta = _load_graph_and_metadata(args.graph)
     result = ext_exact(g, args.m)
     record = {
         "graph_id": args.graph.name,

@@ -38,6 +38,7 @@ __all__ = [
     "rb_formula_path",
     "rb_formula_cycle",
     "rb_formula_complete_bipartite",
+    "rb_formula",
 ]
 
 DEFAULT_EDGE_BUDGET = 16
@@ -364,3 +365,15 @@ def rb_formula_complete_bipartite(n: int, m: int) -> int:
         raise ValueError(f"constraint n >= 3 violated: n={n}")
     _check_regular(n, n, m)
     return n * (m - 2) + 2
+
+
+def rb_formula(family: str, n: int, k: int | None, m: int) -> int | None:
+    """rb by a family's closed form: T3.5/T3.6 on the path/cycle with n edges, K_{n,n},
+    T2.5 on a k-regular family (None where it says nothing).  ValueError where none applies."""
+    if family in ("circulant", "random_regular") and k is not None:
+        return rb_formula_regular(n, k, m)
+    formula = {"path": rb_formula_path, "cycle": rb_formula_cycle,
+               "complete_bipartite": rb_formula_complete_bipartite}.get(family)
+    if formula is None:
+        raise ValueError(f"no closed form for family {family!r} with k={k}")
+    return formula(n, m)

@@ -23,9 +23,7 @@ from .extremal import (
     ext_formula_regular,
     rb_bounds_regular,
     rb_exact,
-    rb_formula_cycle,
-    rb_formula_path,
-    rb_formula_regular,
+    rb_formula,
 )
 from .graphs import Graph, _data_lines, _ints, identify_vertices, make_family, make_path
 # Unused here; kept because bench/test_bench.py checks that the benchmark's
@@ -113,6 +111,8 @@ _cycle_grid = _edge_count_grid("cycle", (3, 9), lambda n: n // 2)
 
 # --- checks: (rb, family, n, k, m, seed) -> (oracle, claimed, status, note) ----
 #
+# One per kind of claim: exact ext (T2.3), rb within bounds (T2.4, T3.1, T3.4),
+# rb equal to extremal.rb_formula (T2.5, T3.5, T3.6), identification (C3.3).
 # rb(g, m) is the sweep's budgeted rb_exact.  Library functions are looked up
 # when a check runs, so wrappers installed on this module see every call.
 
@@ -121,30 +121,24 @@ def _exact(claimed: int, oracle: int, note: str = ""):
     return oracle, claimed, STATUS_MATCH if oracle == claimed else STATUS_DISCREPANCY, note
 
 
-def _within(bounds: tuple[int, int], oracle: int):
-    inside = bounds[0] <= oracle <= bounds[1]
-    return oracle, bounds, STATUS_WITHIN_BOUNDS if inside else STATUS_DISCREPANCY, ""
-
-
 def _check_ext_regular(rb, family, n, k, m, seed):
     g = make_family(family, n, k, seed)
     return _exact(ext_formula_regular(n, k, m), ext_exact(g, m).value)
 
 
-def _check_rb_bounds_regular(rb, family, n, k, m, seed):
-    g = make_family(family, n, k, seed)
-    return _within(rb_bounds_regular(n, k, m), rb(g, m))
+def _check_rb_bounds(rb, family, n, k, m, seed):
+    oracle = rb(make_family(family, n, k, seed), m)
+    lo, hi = rb_bounds_regular(n, k, m) if k is not None else (2 * m - 2, 2 * m - 1)
+    return oracle, (lo, hi), STATUS_WITHIN_BOUNDS if lo <= oracle <= hi else STATUS_DISCREPANCY, ""
 
 
-def _check_rb_regular(rb, family, n, k, m, seed):
-    claimed = rb_formula_regular(n, k, m)
+def _check_rb_formula(rb, family, n, k, m, seed):
+    claimed = rb_formula(family, n, k, m)
     if claimed is None:
         return None, None, STATUS_NOT_APPLICABLE, "needs k >= 3 and n > 3(m-1)"
-    return _exact(claimed, rb(make_family(family, n, k, seed), m))
-
-
-def _check_rb_2m_bounds(rb, family, n, k, m, seed):
-    return _within((2 * m - 2, 2 * m - 1), rb(make_family(family, n, k, seed), m))
+    disputed = family == "cycle" and (n, m) in DISPUTED_CYCLE_CASES
+    return _exact(claimed, rb(make_family(family, n, k, seed), m),
+                  "formula cell flagged as disputed" if disputed else "")
 
 
 def _identification_check(rb, g: Graph, merged: Graph, m: int, note: str):
@@ -159,25 +153,16 @@ def _check_path_vs_cycle(rb, family, n, k, m, seed):
                                  "path value must not exceed the identified-cycle value")
 
 
-def _check_rb_path(rb, family, n, k, m, seed):
-    return _exact(rb_formula_path(n, m), rb(make_family(family, n, k, seed), m))
-
-
-def _check_rb_cycle(rb, family, n, k, m, seed):
-    note = "formula cell flagged as disputed" if (n, m) in DISPUTED_CYCLE_CASES else ""
-    return _exact(rb_formula_cycle(n, m), rb(make_family(family, n, k, seed), m), note)
-
-
 # Claim id -> (instance grid, check), in the order the CLI lists them.
 _CLAIMS = {
     "T2.3": (_regular_grid, _check_ext_regular),
-    "T2.4": (_regular_grid, _check_rb_bounds_regular),
-    "T2.5": (_regular_grid, _check_rb_regular),
-    "T3.1": (_path_grid, _check_rb_2m_bounds),
+    "T2.4": (_regular_grid, _check_rb_bounds),
+    "T2.5": (_regular_grid, _check_rb_formula),
+    "T3.1": (_path_grid, _check_rb_bounds),
     "T3.2/C3.3": (_path_vs_cycle_grid, _check_path_vs_cycle),
-    "T3.4": (_cycle_grid, _check_rb_2m_bounds),
-    "T3.5": (_path_grid, _check_rb_path),
-    "T3.6": (_cycle_grid, _check_rb_cycle),
+    "T3.4": (_cycle_grid, _check_rb_bounds),
+    "T3.5": (_path_grid, _check_rb_formula),
+    "T3.6": (_cycle_grid, _check_rb_formula),
 }
 
 THEOREM_IDS = tuple(_CLAIMS)

@@ -131,9 +131,11 @@ def test_rb_json_reports_value_and_node_count(files, capsys):
         (["circulant", "3", "3"], 2, [2, None, None, None]),
         # the path formula rejects m = 1
         (["path", "6"], 1, [1, None, None, None]),
+        (["path", "6"], 3, [5, 5, "path_two_branch", True]),
+        (["random_regular", "7", "3"], 3, [5, 5, "regular_exact", True]),
     ],
     ids=["cycle4_disputed", "cycle6", "complete_bipartite3", "circulant7_3", "circulant3_3",
-         "path6_m1"],
+         "path6_m1", "path6", "random_regular7_3"],
 )
 def test_rb_json_reports_the_family_formula(family, m, formula, tmp_path, capsys):
     graph = str(tmp_path / "g.txt")
@@ -142,6 +144,25 @@ def test_rb_json_reports_the_family_formula(family, m, formula, tmp_path, capsys
     [record] = json.loads(capsys.readouterr().out)
     assert [record[key] for key in ("rb_value", "formula_value", "formula_source",
                                     "agrees")] == formula
+
+
+def test_rb_reads_the_graph_file_once(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "p6.txt"
+    assert main(["gen", "path", "6", "--out", str(graph)]) == EXIT_OK
+    reads = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(graph):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    # builtins.open and pathlib's io.open are the same function under two names
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert main(["rb", str(graph), "3", "--format", "json"]) == EXIT_OK
+    assert len(reads) == 1
+    assert json.loads(capsys.readouterr().out)[0]["formula_source"] == "path_two_branch"
 
 
 def test_rb_json_reports_no_formula_when_the_header_lacks_a_parameter(tmp_path, capsys):

@@ -19,6 +19,7 @@ from rainbowlab import (
     max_matching_size,
     rb_bounds_regular,
     rb_exact,
+    rb_formula,
     rb_formula_complete_bipartite,
     rb_formula_cycle,
     rb_formula_path,
@@ -430,6 +431,46 @@ def test_complete_bipartite_formula():
     assert rb_formula_complete_bipartite(4, 4) == 10
     with pytest.raises(ValueError, match="n >= 3"):
         rb_formula_complete_bipartite(2, 2)
+
+
+def _value_or_error(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("family, per_family", [
+    ("path", lambda n, k, m: rb_formula_path(n, m)),
+    ("cycle", lambda n, k, m: rb_formula_cycle(n, m)),
+    ("complete_bipartite", lambda n, k, m: rb_formula_complete_bipartite(n, m)),
+    ("circulant", rb_formula_regular),
+    ("random_regular", rb_formula_regular),
+], ids=["path", "cycle", "complete_bipartite", "circulant", "random_regular"])
+def test_rb_formula_agrees_with_the_family_formula(family, per_family):
+    regular = family in ("circulant", "random_regular")
+    for n in range(1, 9):
+        for k in range(1, n + 1) if regular else [None]:
+            for m in range(1, n + 2):
+                assert (_value_or_error(lambda: rb_formula(family, n, k, m))
+                        == _value_or_error(lambda: per_family(n, k, m))), (n, k, m)
+
+
+def test_rb_formula_is_none_where_t25_says_nothing():
+    assert rb_formula("circulant", 3, 3, 2) is None  # n = 3(m-1)
+    assert rb_formula("random_regular", 9, 2, 2) is None  # k below 3
+    assert rb_formula("circulant", 4, 3, 2) == 2
+
+
+@pytest.mark.parametrize("family, k, m", [
+    ("unknown", None, 2),
+    ("unknown", 3, 2),
+    ("circulant", None, 2),
+    ("path", None, 1),
+], ids=["unknown", "unknown_with_k", "circulant_without_k", "path_m1"])
+def test_rb_formula_rejects_a_cell_without_a_closed_form(family, k, m):
+    with pytest.raises(ValueError):
+        rb_formula(family, 6, k, m)
 
 
 def test_matching_number_guard_uses_exact_value():

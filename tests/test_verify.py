@@ -110,3 +110,17 @@ def test_allowlist_entry_for_another_claim_acknowledges_nothing():
     match = VerificationRecord("T3.6", "cycle", 4, None, 2, None, 3, 3, "match", 0.0)
     apply_allowlist([match, record], entries)
     assert record.acknowledged and not match.acknowledged
+
+
+def test_formula_notes_name_the_silent_t25_cells_and_the_disputed_c4_cell():
+    [silent] = verify_theorem("T2.5", n_range=(3, 3), k_range=(3, 3), m_range=(2, 2),
+                              samples=1)
+    assert (silent.status, silent.claimed, silent.oracle_value, silent.note) == (
+        "not_applicable", None, None, "needs k >= 3 and n > 3(m-1)")
+    cycles = verify_theorem("T3.6", n_range=(4, 6), m_range=(2, 2))
+    assert [(r.n, r.status, r.note) for r in cycles] == [
+        (4, "discrepancy", "formula cell flagged as disputed"), (5, "match", ""),
+        (6, "match", "")]
+    # the path with 4 edges shares (n, m) = (4, 2) with the C4 cell but is not disputed
+    [path] = verify_theorem("T3.5", n_range=(4, 4), m_range=(2, 2))
+    assert (path.status, path.note) == ("match", "")
