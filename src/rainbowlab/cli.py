@@ -15,7 +15,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .colorings import format_coloring, load_coloring
@@ -28,12 +27,20 @@ from .constructions import (
 from .errors import BudgetExceededError
 from .extremal import (
     DEFAULT_EDGE_BUDGET,
-    DISPUTED_CYCLE_CASES,
+    DISPUTED_FORMULA_CELLS,
     ext_exact,
     rb_exact,
     rb_formula,
 )
-from .graphs import FAMILIES, Graph, format_graph, load_graph, make_family, parse_graph
+from .graphs import (
+    FAMILIES,
+    Graph,
+    _read_line_file,
+    format_graph,
+    load_graph,
+    make_family,
+    parse_graph,
+)
 from .rainbow import find_rainbow_matching
 from .verify import (
     THEOREM_IDS,
@@ -192,16 +199,11 @@ def _cell(value) -> str:
 
 def _load_graph_and_metadata(path: Path) -> tuple[Graph, dict]:
     """A graph file's graph and the key=value tokens of its `# rainbowlab` lines."""
-    text = path.read_text(encoding="utf-8")
-    meta: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("# rainbowlab"):
-            for token in line.removeprefix("# rainbowlab").split():
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    meta[key] = value
-    return parse_graph(text), meta
+    g, text = _read_line_file(path, lambda text: (parse_graph(text), text))
+    lines = (line.strip() for line in text.splitlines())
+    tokens = (token for line in lines if line.startswith("# rainbowlab")
+              for token in line.removeprefix("# rainbowlab").split() if "=" in token)
+    return g, dict(token.split("=", 1) for token in tokens)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -233,7 +235,7 @@ def _formula_for(meta: dict, edge_count: int, m: int):
         return None, None
     source = {"path": "path_two_branch", "cycle": "cycle_two_branch",
               "complete_bipartite": "complete_bipartite"}.get(family, "regular_exact")
-    disputed = family == "cycle" and (n, m) in DISPUTED_CYCLE_CASES
+    disputed = (family, n, m) in DISPUTED_FORMULA_CELLS
     return value, f"{source} (disputed cell)" if disputed else source
 
 
@@ -327,7 +329,7 @@ def _finish_records(records, args) -> int:
         raise ValueError("the given ranges select no cell, so the sweep checks nothing")
     if args.allowlist is not None:
         apply_allowlist(records, load_allowlist(args.allowlist))
-    rows = [asdict(r) for r in records]
+    rows = [dict(vars(r)) for r in records]
     _emit(rows, RECORD_COLUMNS, args.format, args.out)
     print(summary_line(records), file=sys.stderr if args.out is None and args.format != "table" else sys.stdout)
     return EXIT_DISCREPANCY if has_blocking_discrepancy(records) else EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import _data_lines, _format_lines, _ints
+from .graphs import _data_lines, _format_lines, _ints, _read_line_file
 
 __all__ = [
     "Coloring",
@@ -99,5 +99,4 @@ def save_coloring(coloring: Coloring, path, *, comment: str | None = None) -> No
 
 
 def load_coloring(path) -> Coloring:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coloring(fh.read())
+    return _read_line_file(path, parse_coloring)

@@ -9,9 +9,11 @@ a bound on new colors that forward-checks which uncolored edges can still
 open one), both answered by one rainbow-matching kernel (_closable), and
 returns the lexicographically smallest extremal coloring.
 
-The closed-form evaluators cover k-regular bipartite graphs, paths, cycles,
-and complete bipartite graphs; each validates its stated parameter range and
-names the violated constraint on rejection.
+Three entry points evaluate the closed forms: ext_formula_regular (ext on
+k-regular bipartite graphs), rb_bounds (bounds on rb for k-regular families,
+paths and cycles) and rb_formula (exact rb for k-regular families, complete
+bipartite graphs, paths and cycles).  Each validates its stated parameter range
+and names the violated constraint on rejection.
 """
 
 from __future__ import annotations
@@ -28,16 +30,12 @@ from .rainbow import _matching_number, find_rainbow_matching, max_matching_size
 __all__ = [
     "ExtResult",
     "RbResult",
-    "DISPUTED_CYCLE_CASES",
+    "DISPUTED_FORMULA_CELLS",
     "DEFAULT_EDGE_BUDGET",
     "ext_exact",
     "ext_formula_regular",
     "rb_exact",
-    "rb_bounds_regular",
-    "rb_formula_regular",
-    "rb_formula_path",
-    "rb_formula_cycle",
-    "rb_formula_complete_bipartite",
+    "rb_bounds",
     "rb_formula",
 ]
 
@@ -45,11 +43,11 @@ DEFAULT_EDGE_BUDGET = 16
 NONBIPARTITE_EXT_MAX_EDGES = 18
 TIMEOUT_CHECK_INTERVAL = 4096
 
-# The one known cell where the two-branch cycle formula disagrees with the
-# exhaustive oracle: on the 4-cycle with m = 2, coloring opposite edges alike
-# is rainbow-free with two colors, so the oracle gives 3 while the formula
-# gives 2.
-DISPUTED_CYCLE_CASES = frozenset({(4, 2)})
+# The (family, n, m) cells where rb_formula is known to disagree with the
+# exhaustive oracle.  The one known cell: on the 4-cycle with m = 2, coloring
+# opposite edges alike is rainbow-free with two colors, so the oracle gives 3
+# while the two-branch cycle formula gives 2.
+DISPUTED_FORMULA_CELLS = frozenset({("cycle", 4, 2)})
 
 
 @dataclass(frozen=True)
@@ -323,57 +321,38 @@ def _check_regular(n: int, k: int, m: int) -> None:
         raise ValueError(f"constraint 2 <= m <= n violated: m={m}, n={n}")
 
 
-def rb_bounds_regular(n: int, k: int, m: int) -> tuple[int, int]:
-    """Lower and upper bounds (k(m-2)+2, k(m-1)+1) for k-regular bipartite
-    graphs with sides of size n."""
-    _check_regular(n, k, m)
-    return k * (m - 2) + 2, k * (m - 1) + 1
-
-
-def rb_formula_regular(n: int, k: int, m: int) -> int | None:
-    """Exact value k(m-2)+2 for k >= 3 and n > 3(m-1); None where the formula
-    makes no claim."""
-    _check_regular(n, k, m)
-    if k < 3 or n <= 3 * (m - 1):
-        return None
-    return k * (m - 2) + 2
-
-
 def _check_path(n: int, m: int) -> None:
     """Reject m outside 2 <= m <= ceil(n/2), the range of the path formula and constructions."""
     if not 2 <= m <= (n + 1) // 2:
         raise ValueError(f"constraint 2 <= m <= ceil(n/2) violated: m={m}, n={n}")
 
 
-def rb_formula_path(n: int, m: int) -> int:
-    """Exact rainbow number of m-matchings in the path with n edges."""
-    _check_path(n, m)
-    return 2 * m - 1 if n <= 3 * m - 3 else 2 * m - 2
-
-
-def rb_formula_cycle(n: int, m: int) -> int:
-    """The path's two-branch value, claimed for the cycle with n edges.  The
-    exhaustive oracle is known to disagree on the cells of DISPUTED_CYCLE_CASES."""
-    if not 2 <= m <= n // 2:
+def rb_bounds(family: str, n: int, k: int | None, m: int) -> tuple[int, int]:
+    """Bounds (lo, hi) on rb: T2.4's (k(m-2)+2, k(m-1)+1) on a k-regular family with
+    sides of size n, T3.1/T3.4's (2m-2, 2m-1) on the path/cycle with n edges."""
+    if family in ("circulant", "random_regular") and k is not None:
+        _check_regular(n, k, m)
+        return k * (m - 2) + 2, k * (m - 1) + 1
+    if family not in ("path", "cycle"):
+        raise ValueError(f"no closed form for family {family!r} with k={k}")
+    if family == "path":
+        _check_path(n, m)
+    elif not 2 <= m <= n // 2:
         raise ValueError(f"constraint 2 <= m <= floor(n/2) violated: m={m}, n={n}")
-    return rb_formula_path(n, m)
-
-
-def rb_formula_complete_bipartite(n: int, m: int) -> int:
-    """Exact value n(m-2)+2 for K_{n,n}, the n-regular bipartite graph."""
-    if n < 3:
-        raise ValueError(f"constraint n >= 3 violated: n={n}")
-    _check_regular(n, n, m)
-    return n * (m - 2) + 2
+    return 2 * m - 2, 2 * m - 1
 
 
 def rb_formula(family: str, n: int, k: int | None, m: int) -> int | None:
-    """rb by a family's closed form: T3.5/T3.6 on the path/cycle with n edges, K_{n,n},
-    T2.5 on a k-regular family (None where it says nothing).  ValueError where none applies."""
-    if family in ("circulant", "random_regular") and k is not None:
-        return rb_formula_regular(n, k, m)
-    formula = {"path": rb_formula_path, "cycle": rb_formula_cycle,
-               "complete_bipartite": rb_formula_complete_bipartite}.get(family)
-    if formula is None:
-        raise ValueError(f"no closed form for family {family!r} with k={k}")
-    return formula(n, m)
+    """Exact rb by a family's closed form: n(m-2)+2 on K_{n,n} (n >= 3), else an end of
+    rb_bounds: the lower end on a k-regular family where T2.5 applies (k >= 3 and
+    n > 3(m-1); None elsewhere), and by T3.5/T3.6 the upper end on the path/cycle
+    with n <= 3(m-1) edges, the lower end above.  ValueError where none applies."""
+    if family == "complete_bipartite":
+        if n < 3:
+            raise ValueError(f"constraint n >= 3 violated: n={n}")
+        _check_regular(n, n, m)
+        return n * (m - 2) + 2
+    lo, hi = rb_bounds(family, n, k, m)
+    if family in ("path", "cycle"):
+        return hi if n <= 3 * (m - 1) else lo
+    return lo if k >= 3 and n > 3 * (m - 1) else None

@@ -266,8 +266,8 @@ def identify_vertices(g: Graph, u: int, v: int) -> Graph:
 # --- line files ---------------------------------------------------------------
 #
 # Graph and coloring files and the verify allowlist share one syntax, read by
-# _data_lines and written by _format_lines: '#' starts a comment, blank lines
-# are skipped, and each other line is one record.  A graph file:
+# _read_line_file and _data_lines and written by _format_lines: '#' starts a
+# comment, blank lines are skipped, and each other line is one record.  A graph file:
 #
 #   graph <vertex_count> <edge_count>        (general header)
 #   bipartite <|X|> <|Y|> <edge_count>       (X ids 0..|X|-1, Y ids |X|..)
@@ -294,6 +294,15 @@ def _ints(raw_line: str, fields: list[str]) -> tuple[int, ...]:
         return tuple(map(int, fields))
     except ValueError:
         raise ValueError(f"non-integer field in line {raw_line!r}") from None
+
+
+def _read_line_file(path, parse):
+    """parse(text) of the file at path; a ValueError is re-raised naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _format_lines(lines: list[str], comment: str | None) -> str:
@@ -345,5 +354,4 @@ def save_graph(g: Graph, path, *, comment: str | None = None) -> None:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return _read_line_file(path, parse_graph)

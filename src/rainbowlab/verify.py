@@ -18,14 +18,22 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 from .extremal import (
     DEFAULT_EDGE_BUDGET,
-    DISPUTED_CYCLE_CASES,
+    DISPUTED_FORMULA_CELLS,
     ext_exact,
     ext_formula_regular,
-    rb_bounds_regular,
+    rb_bounds,
     rb_exact,
     rb_formula,
 )
-from .graphs import Graph, _data_lines, _ints, identify_vertices, make_family, make_path
+from .graphs import (
+    Graph,
+    _data_lines,
+    _ints,
+    _read_line_file,
+    identify_vertices,
+    make_family,
+    make_path,
+)
 # Unused here; kept because bench/test_bench.py checks that the benchmark's
 # tracer restores verify.max_matching_size.
 from .rainbow import max_matching_size  # noqa: F401
@@ -128,7 +136,7 @@ def _check_ext_regular(rb, family, n, k, m, seed):
 
 def _check_rb_bounds(rb, family, n, k, m, seed):
     oracle = rb(make_family(family, n, k, seed), m)
-    lo, hi = rb_bounds_regular(n, k, m) if k is not None else (2 * m - 2, 2 * m - 1)
+    lo, hi = rb_bounds(family, n, k, m)
     return oracle, (lo, hi), STATUS_WITHIN_BOUNDS if lo <= oracle <= hi else STATUS_DISCREPANCY, ""
 
 
@@ -136,7 +144,7 @@ def _check_rb_formula(rb, family, n, k, m, seed):
     claimed = rb_formula(family, n, k, m)
     if claimed is None:
         return None, None, STATUS_NOT_APPLICABLE, "needs k >= 3 and n > 3(m-1)"
-    disputed = family == "cycle" and (n, m) in DISPUTED_CYCLE_CASES
+    disputed = (family, n, m) in DISPUTED_FORMULA_CELLS
     return _exact(claimed, rb(make_family(family, n, k, seed), m),
                   "formula cell flagged as disputed" if disputed else "")
 
@@ -249,21 +257,24 @@ def _random_identification_records(samples: int, seed: int, rb) -> list[Verifica
 
 
 def load_allowlist(path) -> list[dict]:
+    return _read_line_file(path, _parse_allowlist)
+
+
+def _parse_allowlist(text: str) -> list[dict]:
     entries: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw_line, fields in _data_lines(fh.read()):
-            if fields[0] not in _CLAIMS:
-                raise ValueError(f"unknown allowlist theorem id {fields[0]!r} in line "
-                                 f"{raw_line!r}; known: {', '.join(THEOREM_IDS)}")
-            entry: dict = {"theorem_id": fields[0]}
-            for token in fields[1:]:
-                if "=" not in token:
-                    raise ValueError(f"bad allowlist token {token!r} in line {raw_line!r}")
-                key, value = token.split("=", 1)
-                if key not in ("family", "n", "k", "m", "seed"):
-                    raise ValueError(f"unknown allowlist key {key!r}")
-                entry[key] = value if key == "family" else _ints(raw_line, [value])[0]
-            entries.append(entry)
+    for raw_line, fields in _data_lines(text):
+        if fields[0] not in _CLAIMS:
+            raise ValueError(f"unknown allowlist theorem id {fields[0]!r} in line "
+                             f"{raw_line!r}; known: {', '.join(THEOREM_IDS)}")
+        entry: dict = {"theorem_id": fields[0]}
+        for token in fields[1:]:
+            if "=" not in token:
+                raise ValueError(f"bad allowlist token {token!r} in line {raw_line!r}")
+            key, value = token.split("=", 1)
+            if key not in ("family", "n", "k", "m", "seed"):
+                raise ValueError(f"unknown allowlist key {key!r}")
+            entry[key] = value if key == "family" else _ints(raw_line, [value])[0]
+        entries.append(entry)
     return entries
 
 

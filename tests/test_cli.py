@@ -407,6 +407,28 @@ def test_malformed_allowlist_is_a_usage_error(line, tmp_path, capsys):
     assert "allowlist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "bad_file", "text", "message"),
+    [
+        (["rb", "{bad}", "2"], "bad.txt", "graph 2 1\n0 x\n", "bad edge line: '0 x'"),
+        (["check", "{graph}", "{bad}", "2"], "bad.col", "coloring 6 2\n1 1\n2 x\n",
+         "bad coloring line: '2 x'"),
+        (["verify", "T3.6", "--n", "4", "--m", "2", "--allowlist", "{bad}"], "bad.allow",
+         "T3.6 n=four\n", "non-integer field in line 'T3.6 n=four'"),
+    ],
+    ids=["rb_graph", "check_coloring", "verify_allowlist"],
+)
+def test_a_malformed_line_file_is_named_in_the_error(argv, bad_file, text, message, files,
+                                                      tmp_path, capsys):
+    graph, _ = files
+    bad = tmp_path / bad_file
+    bad.write_text(text, encoding="utf-8")
+    assert main([a.format(graph=graph, bad=bad) for a in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"rainbowlab: error: {bad}: {message}\n"
+    assert graph not in err
+
+
 def test_uncertified_construction_exits_4(monkeypatch, capsys):
     real = cli.extremal_coloring_path_tight
 

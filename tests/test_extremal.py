@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rainbowlab import (
-    DISPUTED_CYCLE_CASES,
+    DISPUTED_FORMULA_CELLS,
     BudgetExceededError,
     Coloring,
     Graph,
@@ -17,13 +18,9 @@ from rainbowlab import (
     make_path,
     make_random_regular_bipartite,
     max_matching_size,
-    rb_bounds_regular,
+    rb_bounds,
     rb_exact,
     rb_formula,
-    rb_formula_complete_bipartite,
-    rb_formula_cycle,
-    rb_formula_path,
-    rb_formula_regular,
     verify_theorem,
 )
 from rainbowlab.extremal import _closable
@@ -201,7 +198,7 @@ def test_rb_complete_bipartite():
 def test_rb_four_cycle_disagrees_with_formula():
     result = rb_exact(make_cycle(4), 2)
     assert result.rb_value == 3
-    assert rb_formula_cycle(4, 2) == 2
+    assert rb_formula("cycle", 4, None, 2) == 2
     # the certifying coloring: opposite edges share a color
     assert find_rainbow_matching(make_cycle(4), Coloring((1, 2, 1, 2), 2), 2) is None
 
@@ -237,7 +234,7 @@ def test_rb_sandwich_regular():
         for m in (2, 3):
             if m > n:
                 continue
-            lo, hi = rb_bounds_regular(n, k, m)
+            lo, hi = rb_bounds("circulant", n, k, m)
             assert lo <= rb_exact(g, m).rb_value <= hi, (n, k, m)
 
 
@@ -378,82 +375,123 @@ def test_t25_holds_on_first_nontrivial_cells():
 
 def test_rb_complete_bipartite_k55():
     result = rb_exact(make_complete_bipartite(5), 3, edge_budget=25, timeout_ms=30_000)
-    assert result.rb_value == rb_formula_complete_bipartite(5, 3) == 7
+    assert result.rb_value == rb_formula("complete_bipartite", 5, None, 3) == 7
 
 
 # --- closed forms ---------------------------------------------------------------
 
 
 def test_bounds_values():
-    assert rb_bounds_regular(4, 3, 2) == (2, 4)
-    assert rb_bounds_regular(5, 3, 3) == (5, 7)
-    assert rb_bounds_regular(6, 2, 2) == (2, 3)
+    assert rb_bounds("circulant", 4, 3, 2) == (2, 4)
+    assert rb_bounds("random_regular", 5, 3, 3) == (5, 7)
+    assert rb_bounds("circulant", 6, 2, 2) == (2, 3)
 
 
 def test_bounds_reject_m1_with_pointer():
     with pytest.raises(ValueError, match="rb\\(G, one edge\\) = 1"):
-        rb_bounds_regular(4, 3, 1)
+        rb_bounds("circulant", 4, 3, 1)
+
+
+def test_path_and_cycle_bounds_values():
+    # T3.1 and T3.4: 2m-2 <= rb <= 2m-1 on the path or cycle with n edges
+    assert rb_bounds("path", 3, None, 2) == (2, 3)
+    assert rb_bounds("path", 7, None, 4) == (6, 7)
+    assert rb_bounds("cycle", 4, None, 2) == (2, 3)
+    assert rb_bounds("cycle", 9, None, 4) == (6, 7)
+
+
+@pytest.mark.parametrize("family, n, m, match", [
+    ("path", 4, 3, "constraint 2 <= m <= ceil(n/2) violated: m=3, n=4"),
+    ("path", 6, 1, "constraint 2 <= m <= ceil(n/2) violated: m=1, n=6"),
+    ("cycle", 5, 3, "constraint 2 <= m <= floor(n/2) violated: m=3, n=5"),
+    ("cycle", 7, 4, "constraint 2 <= m <= floor(n/2) violated: m=4, n=7"),
+], ids=["path_above", "path_m1", "cycle_above", "cycle_odd_above"])
+def test_path_and_cycle_bounds_name_the_violated_range(family, n, m, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        rb_bounds(family, n, None, m)
+
+
+@pytest.mark.parametrize("family, k", [("unknown", None), ("unknown", 3), ("circulant", None)],
+                         ids=["unknown", "unknown_with_k", "circulant_without_k"])
+def test_bounds_reject_a_family_without_a_closed_form(family, k):
+    message = f"no closed form for family {family!r} with k={k}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rb_bounds(family, 6, k, 2)
 
 
 def test_regular_formula():
-    assert rb_formula_regular(4, 3, 2) == 2
-    assert rb_formula_regular(7, 3, 3) == 5
-    assert rb_formula_regular(6, 3, 3) is None  # n = 3(m-1) boundary
-    assert rb_formula_regular(9, 2, 2) is None  # k below 3
+    assert rb_formula("circulant", 4, 3, 2) == 2
+    assert rb_formula("circulant", 7, 3, 3) == 5
+    assert rb_formula("random_regular", 6, 3, 3) is None  # n = 3(m-1) boundary
+    assert rb_formula("circulant", 9, 2, 2) is None  # k below 3
 
 
 def test_regular_formula_names_violated_constraint():
     with pytest.raises(ValueError, match="k >= 1"):
-        rb_formula_regular(5, 0, 2)
+        rb_formula("circulant", 5, 0, 2)
     with pytest.raises(ValueError, match="2 <= m <= n"):
-        rb_formula_regular(5, 3, 6)
+        rb_formula("random_regular", 5, 3, 6)
 
 
 def test_path_formula():
-    assert rb_formula_path(6, 3) == 5
-    assert rb_formula_path(7, 3) == 4
-    assert rb_formula_path(4, 2) == 2
+    assert rb_formula("path", 6, None, 3) == 5
+    assert rb_formula("path", 7, None, 3) == 4
+    assert rb_formula("path", 4, None, 2) == 2
     with pytest.raises(ValueError):
-        rb_formula_path(4, 3)
+        rb_formula("path", 4, None, 3)
 
 
 def test_cycle_formula():
-    assert rb_formula_cycle(6, 3) == 5 and (6, 3) not in DISPUTED_CYCLE_CASES
-    assert rb_formula_cycle(8, 3) == 4 and (8, 3) not in DISPUTED_CYCLE_CASES
-    assert rb_formula_cycle(4, 2) == 2 and (4, 2) in DISPUTED_CYCLE_CASES
+    assert rb_formula("cycle", 6, None, 3) == 5 and ("cycle", 6, 3) not in DISPUTED_FORMULA_CELLS
+    assert rb_formula("cycle", 8, None, 3) == 4 and ("cycle", 8, 3) not in DISPUTED_FORMULA_CELLS
+    assert rb_formula("cycle", 4, None, 2) == 2 and ("cycle", 4, 2) in DISPUTED_FORMULA_CELLS
+    # the disputed cell is keyed by family: the path with 4 edges is not disputed
+    assert ("path", 4, 2) not in DISPUTED_FORMULA_CELLS
     with pytest.raises(ValueError):
-        rb_formula_cycle(5, 3)
+        rb_formula("cycle", 5, None, 3)
 
 
 def test_complete_bipartite_formula():
-    assert rb_formula_complete_bipartite(3, 2) == 2
-    assert rb_formula_complete_bipartite(3, 3) == 5
-    assert rb_formula_complete_bipartite(4, 4) == 10
+    assert rb_formula("complete_bipartite", 3, None, 2) == 2
+    assert rb_formula("complete_bipartite", 3, None, 3) == 5
+    assert rb_formula("complete_bipartite", 4, None, 4) == 10
     with pytest.raises(ValueError, match="n >= 3"):
-        rb_formula_complete_bipartite(2, 2)
+        rb_formula("complete_bipartite", 2, None, 2)
 
 
-def _value_or_error(call):
-    try:
-        return call()
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+def _closed_form(family, n, k, m):
+    """rb by the paper's closed form for the family, written out with no shared
+    code: a value, None where the claim says nothing, or a ValueError holding the
+    constraint that rb_formula must name.  k is 1..n on the regular families."""
+    if family in ("path", "cycle"):
+        top, name = ((n + 1) // 2, "ceil(n/2)") if family == "path" else (n // 2, "floor(n/2)")
+        if not 2 <= m <= top:
+            return ValueError(f"constraint 2 <= m <= {name} violated: m={m}, n={n}")
+        return 2 * m - 1 if n <= 3 * m - 3 else 2 * m - 2  # T3.5, T3.6
+    if family == "complete_bipartite" and n < 3:
+        return ValueError(f"constraint n >= 3 violated: n={n}")
+    if m == 1:
+        return ValueError("constraint m >= 2 violated")
+    if m > n:
+        return ValueError(f"constraint 2 <= m <= n violated: m={m}, n={n}")
+    if family == "complete_bipartite":
+        return n * (m - 2) + 2  # K_{n,n}
+    return k * (m - 2) + 2 if k >= 3 and n > 3 * (m - 1) else None  # T2.5
 
 
-@pytest.mark.parametrize("family, per_family", [
-    ("path", lambda n, k, m: rb_formula_path(n, m)),
-    ("cycle", lambda n, k, m: rb_formula_cycle(n, m)),
-    ("complete_bipartite", lambda n, k, m: rb_formula_complete_bipartite(n, m)),
-    ("circulant", rb_formula_regular),
-    ("random_regular", rb_formula_regular),
-], ids=["path", "cycle", "complete_bipartite", "circulant", "random_regular"])
-def test_rb_formula_agrees_with_the_family_formula(family, per_family):
+@pytest.mark.parametrize("family", ["path", "cycle", "complete_bipartite", "circulant",
+                                    "random_regular"])
+def test_rb_formula_agrees_with_the_family_formula(family):
     regular = family in ("circulant", "random_regular")
     for n in range(1, 9):
         for k in range(1, n + 1) if regular else [None]:
             for m in range(1, n + 2):
-                assert (_value_or_error(lambda: rb_formula(family, n, k, m))
-                        == _value_or_error(lambda: per_family(n, k, m))), (n, k, m)
+                expected = _closed_form(family, n, k, m)
+                if isinstance(expected, ValueError):
+                    with pytest.raises(ValueError, match=re.escape(str(expected))):
+                        rb_formula(family, n, k, m)
+                else:
+                    assert rb_formula(family, n, k, m) == expected, (n, k, m)
 
 
 def test_rb_formula_is_none_where_t25_says_nothing():
@@ -484,7 +522,7 @@ def test_matching_number_guard_uses_exact_value():
     [
         (lambda: rb_exact(make_path(3), 0), "matching size must be positive"),
         (lambda: rb_exact(Graph(3, ()), 1), "graphs with no edges"),
-        (lambda: rb_formula_complete_bipartite(3, 4), r"2 <= m <= n violated"),
+        (lambda: rb_formula("complete_bipartite", 3, None, 4), r"2 <= m <= n violated"),
     ],
     ids=["rb_exact_m0", "rb_exact_edgeless", "complete_bipartite_m_above_n"],
 )

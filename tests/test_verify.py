@@ -2,7 +2,13 @@ import re
 
 import pytest
 
-from rainbowlab import THEOREM_IDS, apply_allowlist, monotonicity_records, verify_theorem
+from rainbowlab import (
+    THEOREM_IDS,
+    apply_allowlist,
+    monotonicity_records,
+    rb_bounds,
+    verify_theorem,
+)
 from rainbowlab.verify import VerificationRecord
 from rainbowlab.cli import main
 
@@ -110,6 +116,15 @@ def test_allowlist_entry_for_another_claim_acknowledges_nothing():
     match = VerificationRecord("T3.6", "cycle", 4, None, 2, None, 3, 3, "match", 0.0)
     apply_allowlist([match, record], entries)
     assert record.acknowledged and not match.acknowledged
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T3.4"])
+def test_path_and_cycle_bound_records_claim_rb_bounds(theorem_id):
+    records = verify_theorem(theorem_id)
+    assert {r.family for r in records} == {"path" if theorem_id == "T3.1" else "cycle"}
+    for r in records:
+        assert r.claimed == rb_bounds(r.family, r.n, None, r.m) == (2 * r.m - 2, 2 * r.m - 1)
+        assert r.status == "within_bounds", r
 
 
 def test_formula_notes_name_the_silent_t25_cells_and_the_disputed_c4_cell():
