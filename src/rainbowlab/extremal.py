@@ -7,7 +7,9 @@ with no rainbow m-matching; the search enumerates canonical restricted-growth
 colorings with two prunes (a rainbow m-matching among the colored edges, and
 a bound on new colors that forward-checks which uncolored edges can still
 open one), both answered by one rainbow-matching kernel (_closable), and
-returns the lexicographically smallest extremal coloring.
+returns the lexicographically smallest extremal coloring.  On a bipartite
+graph the search stops at its first leaf with ext(G, m) colors, since no
+rainbow-free coloring has more (the paper's rb <= ext + 1).
 
 Three entry points evaluate the closed forms: ext_formula_regular (ext on
 k-regular bipartite graphs), rb_bounds (bounds on rb for k-regular families,
@@ -197,10 +199,17 @@ def _closable(avail: int, need: int, target: int, disjoint: tuple[int, ...], col
     return found
 
 
-def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float | None):
-    """Exhaust the canonical colorings; return the best rainbow-free color
-    count, its lexicographically smallest assignment, and the number of search
-    nodes visited.
+def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float | None,
+            ceiling: int):
+    """Search the canonical colorings in lexicographic order; return the best
+    rainbow-free color count, its lexicographically smallest assignment, and
+    the number of search nodes visited.
+
+    `ceiling` is an upper bound on that count.  The search returns at the
+    first leaf that reaches it and otherwise exhausts the tree.  Leaves are
+    visited in lexicographic order and prune (b) cuts only subtrees that
+    cannot beat the best count, so that first leaf is the one an exhaustive
+    search keeps: the count and the assignment do not depend on the ceiling.
 
     An uncolored edge j is closed when some rainbow (m-1)-matching among the
     colored edges avoids j: a new color on j would complete a rainbow
@@ -234,7 +243,7 @@ def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float 
             if t > best_t:
                 best_t = t
                 best_assignment = tuple(colors)
-            return
+            return best_t == ceiling
         if t + (edge_count - i) - (closed >> i).bit_count() <= best_t:
             return
         bit = 1 << i
@@ -248,8 +257,9 @@ def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float 
             if shut and _closable(avail, m - 1, bit, disjoint, colors, color_masks):
                 continue
             color_masks[c] |= bit
-            assign(i + 1, t if c <= t else c, colored | bit,
-                   closed | _closable(avail, m - 2, recheck, disjoint, colors, color_masks))
+            if assign(i + 1, t if c <= t else c, colored | bit,
+                      closed | _closable(avail, m - 2, recheck, disjoint, colors, color_masks)):
+                return True
             color_masks[c] &= ~bit
         colors[i] = 0
 
@@ -259,7 +269,7 @@ def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float 
 
 def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
              timeout_ms: float | None = None) -> RbResult:
-    """Exact rainbow number of m-matchings in g by exhaustive canonical search.
+    """Exact rainbow number of m-matchings in g by a search over canonical colorings.
 
     f is the maximum color count over rainbow-free surjective colorings and
     rb = f + 1.  The search space is the set of restricted-growth strings
@@ -267,9 +277,16 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     dies when its colored edges hold a rainbow m-matching, or when its colors
     plus its uncolored edges that can still take a new color (no rainbow
     (m-1)-matching among colored edges avoids them) cannot beat the best
-    count found.  Graphs with more than edge_budget edges are refused
-    outright rather than approximated; raise the budget explicitly to accept
-    the runtime risk.
+    count found.
+
+    One edge of each color of a rainbow-free coloring spans no m-matching, so
+    f <= ext(G, m): on a bipartite graph the search stops at its first leaf
+    with ext(G, m) colors, and `colorings_examined` counts the nodes up to
+    there.  Other graphs get the edge count as ceiling, which m <= nu keeps
+    out of reach, since their ext_exact is the search over edge subsets and
+    costs more than it saves (C13, m = 5: f = 7 < ext = 8).  Graphs with more
+    than edge_budget edges are refused outright rather than approximated;
+    raise the budget explicitly to accept the runtime risk.
     """
     if m < 1:
         raise ValueError(f"matching size must be positive, got {m}")
@@ -293,7 +310,8 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         # rainbow-free and rb = 1 with no extremal coloring to exhibit.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return RbResult(0, None, 0, elapsed_ms)
-    best_t, best_assignment, nodes = _search(g.edge_count, g.disjoint, m, deadline)
+    ceiling = ext_exact(g, m).value if g.bipartition is not None else g.edge_count
+    best_t, best_assignment, nodes = _search(g.edge_count, g.disjoint, m, deadline, ceiling)
     assert best_assignment is not None and best_t >= 1  # monochromatic leaf always survives
     extremal = Coloring(best_assignment, best_t)
     if find_rainbow_matching(g, extremal, m) is not None:

@@ -10,6 +10,7 @@ samples, seed).
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from collections import Counter
@@ -117,35 +118,36 @@ _path_vs_cycle_grid = _edge_count_grid("path_vs_cycle", (3, 8), lambda n: n // 2
 _cycle_grid = _edge_count_grid("cycle", (3, 9), lambda n: n // 2)
 
 
-# --- checks: (rb, family, n, k, m, seed) -> (oracle, claimed, status, note) ----
+# --- checks: (rb, build, family, n, k, m, seed) -> (oracle, claimed, status, note)
 #
 # One per kind of claim: exact ext (T2.3), rb within bounds (T2.4, T3.1, T3.4),
 # rb equal to extremal.rb_formula (T2.5, T3.5, T3.6), identification (C3.3).
-# rb(g, m) is the sweep's budgeted rb_exact.  Library functions are looked up
-# when a check runs, so wrappers installed on this module see every call.
+# rb(g, m) is the sweep's budgeted rb_exact and build(family, n, k, seed) its
+# make_family, cached for one verify_theorem call.  Library functions are
+# looked up when a sweep runs, so wrappers installed on this module see every
+# call.
 
 
 def _exact(claimed: int, oracle: int, note: str = ""):
     return oracle, claimed, STATUS_MATCH if oracle == claimed else STATUS_DISCREPANCY, note
 
 
-def _check_ext_regular(rb, family, n, k, m, seed):
-    g = make_family(family, n, k, seed)
-    return _exact(ext_formula_regular(n, k, m), ext_exact(g, m).value)
+def _check_ext_regular(rb, build, family, n, k, m, seed):
+    return _exact(ext_formula_regular(n, k, m), ext_exact(build(family, n, k, seed), m).value)
 
 
-def _check_rb_bounds(rb, family, n, k, m, seed):
-    oracle = rb(make_family(family, n, k, seed), m)
+def _check_rb_bounds(rb, build, family, n, k, m, seed):
+    oracle = rb(build(family, n, k, seed), m)
     lo, hi = rb_bounds(family, n, k, m)
     return oracle, (lo, hi), STATUS_WITHIN_BOUNDS if lo <= oracle <= hi else STATUS_DISCREPANCY, ""
 
 
-def _check_rb_formula(rb, family, n, k, m, seed):
+def _check_rb_formula(rb, build, family, n, k, m, seed):
     claimed = rb_formula(family, n, k, m)
     if claimed is None:
         return None, None, STATUS_NOT_APPLICABLE, "needs k >= 3 and n > 3(m-1)"
     disputed = (family, n, m) in DISPUTED_FORMULA_CELLS
-    return _exact(claimed, rb(make_family(family, n, k, seed), m),
+    return _exact(claimed, rb(build(family, n, k, seed), m),
                   "formula cell flagged as disputed" if disputed else "")
 
 
@@ -155,7 +157,7 @@ def _identification_check(rb, g: Graph, merged: Graph, m: int, note: str):
     return rb_g, (None, rb_merged), status, note
 
 
-def _check_path_vs_cycle(rb, family, n, k, m, seed):
+def _check_path_vs_cycle(rb, build, family, n, k, m, seed):
     path = make_path(n)
     return _identification_check(rb, path, identify_vertices(path, 0, n), m,
                                  "path value must not exceed the identified-cycle value")
@@ -200,12 +202,19 @@ def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
                    edge_budget: int = DEFAULT_EDGE_BUDGET,
                    timeout_ms: float | None = None) -> list[VerificationRecord]:
     """Sweep one claim over its instance grid and return one record per cell.
-    A cell the search refuses is a not_applicable record, never an error."""
+    A cell the search refuses is a not_applicable record, never an error.
+
+    A check gets its family graph from a builder made for this call, so each
+    (family, n, k, seed) graph is built once, when the first of its m-cells
+    needs it: that cell's `elapsed_ms` includes the build and the later ones
+    do not.  A build that raises is not kept, so a refused graph gives one
+    not_applicable record per m.  Nothing is kept across calls."""
     if theorem_id not in _CLAIMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     grid, check = _CLAIMS[theorem_id]
     rb = _budgeted_rb(edge_budget, timeout_ms)
-    return [_record(theorem_id, cell, lambda: check(rb, *cell))
+    build = functools.cache(make_family)
+    return [_record(theorem_id, cell, lambda: check(rb, build, *cell))
             for cell in grid(n_range, k_range, m_range, samples, seed)]
 
 

@@ -23,7 +23,7 @@ from rainbowlab import (
     rb_formula,
     verify_theorem,
 )
-from rainbowlab.extremal import _closable
+from rainbowlab.extremal import _closable, _search
 from helpers import (
     brute_closable,
     canonical_colorings,
@@ -320,8 +320,12 @@ def test_rb_exact_matches_brute_force_enumeration(g):
         ), (g.edges, m)
 
 
-# The search tree and extremal coloring of five cells, pinned: a faster
-# kernel must cut exactly this tree and return exactly this coloring.
+# The search tree and extremal coloring of nine cells, pinned: a faster
+# kernel must cut exactly this tree and return exactly this coloring.  The
+# first five have f < ext(G, m), so their search exhausts the tree.  On P12
+# and C12 f = ext(G, m) and the search stops at its first leaf with that many
+# colors (an exhaustive search visits 6,634, 6,663 and 1,493 nodes there).
+# C11 is not bipartite, so it gets no ceiling although f = ext(C11, 5) = 8.
 @pytest.mark.parametrize(
     ("g", "m", "nodes", "coloring"),
     [
@@ -330,13 +334,31 @@ def test_rb_exact_matches_brute_force_enumeration(g):
         (make_circulant_regular_bipartite(7, 3), 3, 245, "111111111111111111234"),
         (make_circulant_regular_bipartite(5, 4), 3, 1_849, "11111111111111112345"),
         (make_complete_bipartite(4), 3, 1_838, "1111111111112345"),
+        (make_path(12), 5, 4_046, "121343565787"),
+        (make_cycle(12), 5, 4_067, "121343565787"),
+        (make_path(12), 6, 861, "1213435678910"),
+        (make_cycle(11), 5, 2_329, "12134356578"),
     ],
-    ids=["P14_m4", "C13_m5", "circulant73_m3", "circulant54_m3", "K44_m3"],
+    ids=["P14_m4", "C13_m5", "circulant73_m3", "circulant54_m3", "K44_m3",
+         "P12_m5", "C12_m5", "P12_m6", "C11_m5"],
 )
 def test_rb_search_tree_is_pinned(g, m, nodes, coloring):
     result = rb_exact(g, m, edge_budget=g.edge_count)
     assert result.colorings_examined == nodes
     assert "".join(map(str, result.extremal_coloring.assignment)) == coloring
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_ext_ceiling_changes_neither_f_nor_the_coloring(seed):
+    # ceiling = edge_count is never reached (m <= nu), so that search exhausts the tree
+    g = random_bipartite(random.Random(seed), max_side=5)
+    for m in range(2, max_matching_size(g) + 1):
+        ceiling = ext_exact(g, m).value
+        stopped = _search(g.edge_count, g.disjoint, m, None, ceiling)
+        exhausted = _search(g.edge_count, g.disjoint, m, None, g.edge_count)
+        assert stopped[:2] == exhausted[:2], (g.edges, m)
+        assert stopped[2] <= exhausted[2]
 
 
 @st.composite

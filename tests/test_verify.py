@@ -4,11 +4,15 @@ import pytest
 
 from rainbowlab import (
     THEOREM_IDS,
+    BudgetExceededError,
     apply_allowlist,
+    ext_exact,
+    make_family,
     monotonicity_records,
     rb_bounds,
     verify_theorem,
 )
+from rainbowlab import verify
 from rainbowlab.verify import VerificationRecord
 from rainbowlab.cli import main
 
@@ -139,3 +143,56 @@ def test_formula_notes_name_the_silent_t25_cells_and_the_disputed_c4_cell():
     # the path with 4 edges shares (n, m) = (4, 2) with the C4 cell but is not disputed
     [path] = verify_theorem("T3.5", n_range=(4, 4), m_range=(2, 2))
     assert (path.status, path.note) == ("match", "")
+
+
+# The first cell of the benchmark's sweep: 20 (n, k) pairs times 5 realizations
+# are 100 graphs, and with m = 2..min(5, n) they make 365 cells.
+T23_SWEEP = dict(n_range=(3, 7), k_range=(2, 7), m_range=(2, 5), seed=1)
+
+
+def test_a_sweep_builds_each_graph_once_per_call(monkeypatch):
+    builds = []
+
+    def counting(family, n, k=None, seed=0):
+        builds.append((family, n, k, seed))
+        return make_family(family, n, k, seed)
+
+    monkeypatch.setattr(verify, "make_family", counting)
+    records = verify_theorem("T2.3", **T23_SWEEP)
+    assert len(records) == 365
+    assert len(builds) == len(set(builds)) == 100
+    # a second call keeps nothing from the first, so it builds every graph again
+    verify_theorem("T2.3", **T23_SWEEP)
+    assert len(builds) == 200 and set(builds[100:]) == set(builds[:100])
+
+
+def test_a_sweep_that_builds_each_graph_once_gives_the_records_of_a_build_per_cell():
+    records = verify_theorem("T2.3", **T23_SWEEP)
+    expected = []
+    for n in range(3, 8):
+        for k in range(2, n + 1):
+            for m in range(2, min(5, n) + 1):
+                for family, seed in [("circulant", None)] + [("random_regular", 1 + i)
+                                                             for i in range(4)]:
+                    oracle = ext_exact(make_family(family, n, k, seed), m).value
+                    expected.append(("T2.3", family, n, k, m, seed, oracle, k * (m - 1),
+                                     "match" if oracle == k * (m - 1) else "discrepancy",
+                                     "", False))
+    assert [(r.theorem_id, r.family, r.n, r.k, r.m, r.seed, r.oracle_value, r.claimed,
+             r.status, r.note, r.acknowledged) for r in records] == expected
+
+
+def test_a_graph_whose_build_is_refused_gives_one_record_per_m(monkeypatch):
+    def refuse_random(family, n, k=None, seed=0):
+        if family == "random_regular":
+            raise BudgetExceededError("retry budget exhausted")
+        return make_family(family, n, k, seed)
+
+    monkeypatch.setattr(verify, "make_family", refuse_random)
+    records = verify_theorem("T2.4", n_range=(4, 4), k_range=(2, 2), m_range=(2, 4), samples=2)
+    assert [(r.family, r.m, r.status, r.note) for r in records] == [
+        (family, m, status, note)
+        for m in (2, 3, 4)
+        for family, status, note in [
+            ("circulant", "within_bounds", ""),
+            ("random_regular", "not_applicable", "budget refusal: retry budget exhausted")]]
