@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .colorings import format_coloring, load_coloring
+from .colorings import load_coloring, save_coloring
 from .constructions import (
     extremal_coloring_cycle_tight,
     extremal_coloring_path_simple,
@@ -35,6 +35,7 @@ from .extremal import (
 from .graphs import (
     FAMILIES,
     Graph,
+    _ints,
     _read_line_file,
     format_graph,
     load_graph,
@@ -198,12 +199,21 @@ def _cell(value) -> str:
 
 
 def _load_graph_and_metadata(path: Path) -> tuple[Graph, dict]:
-    """A graph file's graph and the key=value tokens of its `# rainbowlab` lines."""
-    g, text = _read_line_file(path, lambda text: (parse_graph(text), text))
-    lines = (line.strip() for line in text.splitlines())
-    tokens = (token for line in lines if line.startswith("# rainbowlab")
-              for token in line.removeprefix("# rainbowlab").split() if "=" in token)
-    return g, dict(token.split("=", 1) for token in tokens)
+    """A graph file's graph and the key=value tokens of its `# rainbowlab` lines,
+    with n and k as integers; a value of n or k that is not one is a file error."""
+
+    def parse(text: str) -> tuple[Graph, dict]:
+        meta = {}
+        for line in map(str.strip, text.splitlines()):
+            if not line.startswith("# rainbowlab"):
+                continue
+            for token in line.removeprefix("# rainbowlab").split():
+                key, eq, value = token.partition("=")
+                if eq:
+                    meta[key] = _ints(line, [value])[0] if key in ("n", "k") else value
+        return parse_graph(text), meta
+
+    return _read_line_file(path, parse)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -227,8 +237,8 @@ def _formula_for(meta: dict, edge_count: int, m: int):
     """(formula_value, formula_source) for a known family, else (None, None)."""
     family = meta.get("family")
     try:
-        n = edge_count if family in ("path", "cycle") else int(meta["n"])
-        value = rb_formula(family, n, int(meta["k"]) if "k" in meta else None, m)
+        n = edge_count if family in ("path", "cycle") else meta["n"]
+        value = rb_formula(family, n, meta.get("k"), m)
     except (ValueError, KeyError):
         return None, None
     if value is None:
@@ -246,8 +256,8 @@ def _cmd_rb(args) -> int:
     record = {
         "graph_id": args.graph.name,
         "family": meta.get("family", "unknown"),
-        "n": int(meta["n"]) if "n" in meta else g.vertex_count,
-        "k": int(meta["k"]) if "k" in meta else None,
+        "n": meta.get("n", g.vertex_count),
+        "k": meta.get("k"),
         "m": args.m,
         "f_value": result.f_value,
         "rb_value": result.rb_value,
@@ -313,10 +323,7 @@ def _cmd_construct(args) -> int:
     }
     _emit([record], list(record.keys()), args.format, None)
     if args.out is not None:
-        args.out.write_text(
-            format_coloring(report.coloring, comment=f"rainbowlab construction {label}"),
-            encoding="utf-8",
-        )
+        save_coloring(report.coloring, args.out, comment=f"rainbowlab construction {label}")
     return EXIT_OK if report.rainbow_free_certified else EXIT_CERTIFICATION
 
 

@@ -50,12 +50,6 @@ class Coloring:
     def edge_count(self) -> int:
         return len(self.assignment)
 
-    def color_of(self, edge_index: int) -> int:
-        """The color of edge ``edge_index`` (1-based)."""
-        if not 1 <= edge_index <= len(self.assignment):
-            raise IndexError(f"edge index {edge_index} out of range 1..{len(self.assignment)}")
-        return self.assignment[edge_index - 1]
-
 
 # --- file format: a line file (graphs.py) -------------------------------------
 #

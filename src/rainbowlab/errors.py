@@ -1,13 +1,9 @@
 """Exception types shared across the package."""
 
-__all__ = ["RainbowLabError", "BudgetExceededError"]
+__all__ = ["BudgetExceededError"]
 
 
-class RainbowLabError(Exception):
-    """Base class for package-specific failures."""
-
-
-class BudgetExceededError(RainbowLabError):
+class BudgetExceededError(Exception):
     """Raised when an exact search would exceed its declared size or time budget.
 
     This is an explicit refusal, never a silent approximation.

@@ -199,11 +199,12 @@ def _closable(avail: int, need: int, target: int, disjoint: tuple[int, ...], col
     return found
 
 
-def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float | None,
-            ceiling: int):
-    """Search the canonical colorings in lexicographic order; return the best
-    rainbow-free color count, its lexicographically smallest assignment, and
-    the number of search nodes visited.
+def _search(disjoint: tuple[int, ...], m: int, deadline: float | None, ceiling: int):
+    """Search the canonical colorings of the len(disjoint) edges in
+    lexicographic order; return the best rainbow-free color count, its
+    lexicographically smallest assignment, and the number of search nodes
+    visited.  Edges are colored in index order, so at edge i the colored
+    edges are exactly the edges before i.
 
     `ceiling` is an upper bound on that count.  The search returns at the
     first leaf that reaches it and otherwise exhausts the tree.  Leaves are
@@ -226,13 +227,14 @@ def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float 
     node whose colors-so-far plus open uncolored edges cannot exceed t* is
     hopeless.
     """
+    edge_count = len(disjoint)
     colors = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
     best_t = 0
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
 
-    def assign(i: int, t: int, colored: int, closed: int):
+    def assign(i: int, t: int, closed: int):
         nonlocal best_t, best_assignment, nodes
         nodes += 1
         # checked at the first node too, so small searches honour the deadline
@@ -250,20 +252,21 @@ def _search(edge_count: int, disjoint: tuple[int, ...], m: int, deadline: float 
         shut = closed & bit
         # open uncolored edges disjoint from edge i
         recheck = disjoint[i] & ~closed & -(bit << 1)
+        # colored edges disjoint from edge i
+        colored = disjoint[i] & (bit - 1)
         for c in range(1, t + 1 if shut else t + 2):
-            avail = colored & disjoint[i] & ~color_masks[c]
+            avail = colored & ~color_masks[c]
             colors[i] = c
             # avail lies inside disjoint[i], so any matching in it avoids edge i
             if shut and _closable(avail, m - 1, bit, disjoint, colors, color_masks):
                 continue
             color_masks[c] |= bit
-            if assign(i + 1, t if c <= t else c, colored | bit,
+            if assign(i + 1, t if c <= t else c,
                       closed | _closable(avail, m - 2, recheck, disjoint, colors, color_masks)):
                 return True
             color_masks[c] &= ~bit
-        colors[i] = 0
 
-    assign(0, 0, 0, 0)
+    assign(0, 0, 0)
     return best_t, best_assignment, nodes
 
 
@@ -311,7 +314,7 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return RbResult(0, None, 0, elapsed_ms)
     ceiling = ext_exact(g, m).value if g.bipartition is not None else g.edge_count
-    best_t, best_assignment, nodes = _search(g.edge_count, g.disjoint, m, deadline, ceiling)
+    best_t, best_assignment, nodes = _search(g.disjoint, m, deadline, ceiling)
     assert best_assignment is not None and best_t >= 1  # monochromatic leaf always survives
     extremal = Coloring(best_assignment, best_t)
     if find_rainbow_matching(g, extremal, m) is not None:

@@ -75,12 +75,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge(self, index: int) -> tuple[int, int]:
-        """The endpoints of edge ``index`` (1-based)."""
-        if not 1 <= index <= len(self.edges):
-            raise IndexError(f"edge index {index} out of range 1..{len(self.edges)}")
-        return self.edges[index - 1]
-
     @cached_property
     def incidence(self) -> tuple[int, ...]:
         masks = [0] * self.vertex_count

@@ -51,10 +51,10 @@ class RainbowWitness:
         for i, c in zip(self.edges, self.colors):
             if not 1 <= i <= min(g.edge_count, coloring.edge_count):
                 return False
-            u, v = g.edge(i)
+            u, v = g.edges[i - 1]
             if u in touched or v in touched:
                 return False
-            if coloring.color_of(i) != c:
+            if coloring.assignment[i - 1] != c:
                 return False
             touched.update((u, v))
         return True

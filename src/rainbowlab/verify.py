@@ -158,8 +158,8 @@ def _identification_check(rb, g: Graph, merged: Graph, m: int, note: str):
 
 
 def _check_path_vs_cycle(rb, build, family, n, k, m, seed):
-    path = make_path(n)
-    return _identification_check(rb, path, identify_vertices(path, 0, n), m,
+    # identifying the two ends of the path with n edges gives the n-cycle, edge for edge
+    return _identification_check(rb, build("path", n), build("cycle", n), m,
                                  "path value must not exceed the identified-cycle value")
 
 

@@ -31,7 +31,7 @@ REPRESENTATIVE_ORACLE_MAX_EDGES = 20
 def is_disjoint_edge_set(g: Graph, edge_indices) -> bool:
     touched = set()
     for i in edge_indices:
-        u, v = g.edge(i)
+        u, v = g.edges[i - 1]
         if u in touched or v in touched:
             return False
         touched.update((u, v))
@@ -76,7 +76,7 @@ def brute_max_matching_size(g: Graph) -> int:
 
 def brute_has_rainbow_matching(g: Graph, coloring, m: int) -> bool:
     for combo in brute_matchings_of_size(g, m):
-        colors = [coloring.color_of(i) for i in combo]
+        colors = [coloring.assignment[i - 1] for i in combo]
         if len(set(colors)) == m:
             return True
     return False
@@ -86,7 +86,7 @@ def brute_first_rainbow_matching(g: Graph, coloring, m: int):
     """The lexicographically first m-edge rainbow matching, as (edges, colors),
     or None."""
     for combo in brute_matchings_of_size(g, m):
-        colors = tuple(coloring.color_of(i) for i in combo)
+        colors = tuple(coloring.assignment[i - 1] for i in combo)
         if len(set(colors)) == m:
             return combo, colors
     return None
@@ -107,9 +107,9 @@ def brute_closable(g: Graph, colors, avail: int, need: int, target: int) -> int:
             continue
         if len({colors[i - 1] for i in combo}) < need:
             continue
-        touched = {v for i in combo for v in g.edge(i)}
+        touched = {v for i in combo for v in g.edges[i - 1]}
         for j in edges_of(target):
-            if not touched & set(g.edge(j)):
+            if not touched & set(g.edges[j - 1]):
                 closable |= 1 << (j - 1)
     return closable
 

@@ -429,6 +429,24 @@ def test_a_malformed_line_file_is_named_in_the_error(argv, bad_file, text, messa
     assert graph not in err
 
 
+@pytest.mark.parametrize("command", ["rb", "ext"])
+def test_non_integer_metadata_is_a_file_error_before_any_search(command, tmp_path, monkeypatch,
+                                                                 capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("# rainbowlab family=circulant n=3 k=z\nbipartite 3 3 3\n0 3\n1 4\n2 5\n",
+                   encoding="utf-8")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a graph whose metadata does not parse")
+
+    monkeypatch.setattr(cli, "rb_exact", no_search)
+    monkeypatch.setattr(cli, "ext_exact", no_search)
+    assert main([command, str(bad), "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"rainbowlab: error: {bad}: non-integer field in line "
+        "'# rainbowlab family=circulant n=3 k=z'\n")
+
+
 def test_uncertified_construction_exits_4(monkeypatch, capsys):
     real = cli.extremal_coloring_path_tight
 

@@ -56,14 +56,6 @@ def test_parse_rejects_missing_or_duplicate_edges():
         parse_coloring("coloring 2 2\n1 1\n1 2\n2 2\n")
 
 
-def test_color_of_rejects_an_edge_index_outside_the_coloring():
-    c = Coloring((1, 2), 2)
-    assert (c.color_of(1), c.color_of(2)) == (1, 2)
-    for index in (0, -1, 3):
-        with pytest.raises(IndexError):
-            c.color_of(index)
-
-
 @pytest.mark.parametrize(
     "call, match",
     [

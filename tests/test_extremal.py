@@ -355,8 +355,8 @@ def test_the_ext_ceiling_changes_neither_f_nor_the_coloring(seed):
     g = random_bipartite(random.Random(seed), max_side=5)
     for m in range(2, max_matching_size(g) + 1):
         ceiling = ext_exact(g, m).value
-        stopped = _search(g.edge_count, g.disjoint, m, None, ceiling)
-        exhausted = _search(g.edge_count, g.disjoint, m, None, g.edge_count)
+        stopped = _search(g.disjoint, m, None, ceiling)
+        exhausted = _search(g.disjoint, m, None, g.edge_count)
         assert stopped[:2] == exhausted[:2], (g.edges, m)
         assert stopped[2] <= exhausted[2]
 

@@ -105,7 +105,9 @@ def test_witness_verifies_against_host():
 
 def test_witness_with_edge_index_outside_the_graph_fails_verification():
     g, c = make_path(2), Coloring((1, 1), 1)
+    # edge 0 and edge -1 would read the last edges through negative indexing
     assert not RainbowWitness((0,), (1,)).verify(g, c)
+    assert not RainbowWitness((-1,), (1,)).verify(g, c)
     assert not RainbowWitness((3,), (1,)).verify(g, c)
     assert not RainbowWitness((1, 4), (1, 2)).verify(make_path(4), Coloring((1, 2), 2))
     assert RainbowWitness((2,), (1,)).verify(g, c)

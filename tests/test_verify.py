@@ -7,8 +7,11 @@ from rainbowlab import (
     BudgetExceededError,
     apply_allowlist,
     ext_exact,
+    identify_vertices,
     make_family,
+    make_path,
     monotonicity_records,
+    rb_exact,
     rb_bounds,
     verify_theorem,
 )
@@ -196,3 +199,39 @@ def test_a_graph_whose_build_is_refused_gives_one_record_per_m(monkeypatch):
         for family, status, note in [
             ("circulant", "within_bounds", ""),
             ("random_regular", "not_applicable", "budget refusal: retry budget exhausted")]]
+
+
+def test_the_path_vs_cycle_check_builds_each_path_and_cycle_once(monkeypatch):
+    builds, identifications = [], []
+
+    def counting_build(family, n, k=None, seed=0):
+        builds.append((family, n))
+        return make_family(family, n, k, seed)
+
+    def counting_identify(g, u, v):
+        identifications.append((g.edge_count, u, v))
+        return identify_vertices(g, u, v)
+
+    monkeypatch.setattr(verify, "make_family", counting_build)
+    monkeypatch.setattr(verify, "identify_vertices", counting_identify)
+    records = monotonicity_records(n_range=(3, 11), samples=0, seed=11)
+    # n = 4..11 with 2 <= m <= n // 2 are 20 cells on 8 paths and their 8 cycles
+    assert len(records) == 20
+    assert sorted(builds) == sorted((family, n) for family in ("cycle", "path")
+                                    for n in range(4, 12))
+    assert identifications == []
+
+
+def test_the_path_vs_cycle_records_are_those_of_the_identified_path():
+    records = monotonicity_records(n_range=(3, 11), samples=0, seed=11)
+    expected = []
+    for n in range(4, 12):
+        path = make_path(n)
+        for m in range(2, n // 2 + 1):
+            rb_path = rb_exact(path, m).rb_value
+            rb_cycle = rb_exact(identify_vertices(path, 0, n), m).rb_value
+            expected.append(("T3.2/C3.3", "path_vs_cycle", n, None, m, None, rb_path,
+                             (None, rb_cycle), "match" if rb_path <= rb_cycle else "discrepancy",
+                             "path value must not exceed the identified-cycle value"))
+    assert [(r.theorem_id, r.family, r.n, r.k, r.m, r.seed, r.oracle_value, r.claimed,
+             r.status, r.note) for r in records] == expected
