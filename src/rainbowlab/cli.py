@@ -198,9 +198,32 @@ def _cell(value) -> str:
 # --- graph file metadata --------------------------------------------------------
 
 
+def _check_metadata(g: Graph, meta: dict) -> None:
+    """Raise ValueError when a known family's n or k does not describe g: a path
+    or cycle has n edges; any other family has 2n vertices, all of degree k,
+    and complete_bipartite has k = n."""
+    family, n, k = meta.get("family"), meta.get("n"), meta.get("k")
+    if family in ("path", "cycle"):
+        if n not in (None, g.edge_count):
+            raise ValueError(f"{family} n={n} does not describe a graph with {g.edge_count} edges")
+    elif family in FAMILIES:
+        if n is not None and 2 * n != g.vertex_count:
+            raise ValueError(f"{family} n={n} does not describe a graph on "
+                             f"{g.vertex_count} vertices")
+        if family == "complete_bipartite":
+            if k not in (None, n):
+                raise ValueError(f"complete_bipartite has k = n, got n={n} k={k}")
+            k = n
+        degrees = set(g.degrees())
+        if k is not None and degrees != {k}:
+            raise ValueError(f"{family} k={k} does not describe a graph with degrees "
+                             f"{sorted(degrees)}")
+
+
 def _load_graph_and_metadata(path: Path) -> tuple[Graph, dict]:
     """A graph file's graph and the key=value tokens of its `# rainbowlab` lines,
-    with n and k as integers; a value of n or k that is not one is a file error."""
+    with n and k as integers; a value of n or k that is not one, or that does
+    not describe the graph (_check_metadata), is a file error."""
 
     def parse(text: str) -> tuple[Graph, dict]:
         meta = {}
@@ -211,7 +234,9 @@ def _load_graph_and_metadata(path: Path) -> tuple[Graph, dict]:
                 key, eq, value = token.partition("=")
                 if eq:
                     meta[key] = _ints(line, [value])[0] if key in ("n", "k") else value
-        return parse_graph(text), meta
+        g = parse_graph(text)
+        _check_metadata(g, meta)
+        return g, meta
 
     return _read_line_file(path, parse)
 

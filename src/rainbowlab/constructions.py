@@ -88,8 +88,7 @@ def _tight_coloring(n: int, m: int) -> Coloring:
     # p leading blocks of three edges colored (2i, 2i-1, 2i), then fresh
     # colors 2p+1.. on the remaining n-3p edges; 2m-2 colors in total.
     if n > 3 * m - 3:
-        raise ValueError(f"tight pattern applies only for n <= 3m-3 (got n={n}, m={m}); "
-                         "a longer path takes extremal_coloring_path_simple")
+        raise ValueError(f"tight pattern applies only for n <= 3m-3 (got n={n}, m={m})")
     p = n - (2 * m - 2)
     assignment = [0] * n
     for i in range(1, p + 1):
@@ -107,7 +106,11 @@ def extremal_coloring_path_tight(n: int, m: int) -> ConstructionReport:
     matching can pick at most one edge from each paired block, which caps it
     below m."""
     _check_path(n, m)
-    return _report(make_path(n), m, _tight_coloring(n, m), "path_tight")
+    try:
+        coloring = _tight_coloring(n, m)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; a longer path takes extremal_coloring_path_simple") from None
+    return _report(make_path(n), m, coloring, "path_tight")
 
 
 def extremal_coloring_cycle_tight(n: int, m: int) -> ConstructionReport:

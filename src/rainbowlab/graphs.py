@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .errors import BudgetExceededError
-
 __all__ = [
     "Graph",
     "make_path",
@@ -33,8 +31,6 @@ __all__ = [
     "load_graph",
     "save_graph",
 ]
-
-RANDOM_REGULAR_MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -124,56 +120,40 @@ def make_circulant_regular_bipartite(n: int, k: int) -> Graph:
     return Graph(2 * n, edges)
 
 
-def _disjoint_permutation(rng: random.Random, n: int, used: list[set[int]],
-                          budget: list[int]) -> list[int] | None:
-    """A random permutation avoiding every (x, perm[x]) already in `used`,
-    grown position by position with backtracking on collisions.  One always
-    exists while fewer than n permutations are taken (Hall), but the search
-    is capped by `budget` so a pathological seed cannot spin forever."""
-    taken = [False] * n
-    perm = [-1] * n
-
-    def place(x: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            return False
-        candidates = [y for y in range(n) if not taken[y] and y not in used[x]]
-        rng.shuffle(candidates)
-        for y in candidates:
-            perm[x] = y
-            taken[y] = True
-            if x + 1 == n or place(x + 1):
-                return True
-            taken[y] = False
-        perm[x] = -1
-        return False
-
-    return perm if place(0) else None
-
-
 def make_random_regular_bipartite(n: int, k: int, seed: int) -> Graph:
-    """Seeded k-regular bipartite graph built by superposing k permutations.
+    """Seeded k-regular bipartite graph: the union of k disjoint perfect matchings.
 
-    Each permutation of 0..n-1 contributes the edges x -> y_perm[x]; a draw
-    that would repeat an edge is retried by backtracking, within a budget of
-    RANDOM_REGULAR_MAX_ATTEMPTS * n placements over all k draws; when it runs
-    out the builder raises BudgetExceededError rather than return a graph
-    of another family.
+    Each round joins x = 0..n-1 in turn to a random y that is still free and
+    not yet adjacent to x.  When no such y is left, x takes one by Kuhn's
+    augmenting path over its unused pairs.  After r rounds the unused pairs
+    form an (n-r)-regular bipartite graph, which has a perfect matching
+    (Hall), so the path always exists and every n, k with 1 <= k <= n builds.
     """
     if not 1 <= k <= n:
         raise ValueError(f"regularity requires 1 <= k <= n, got k={k}, n={n}")
     rng = random.Random(seed)
     used: list[set[int]] = [set() for _ in range(n)]
-    budget = [RANDOM_REGULAR_MAX_ATTEMPTS * n]
+
+    def augment(x: int, seen: set[int]) -> bool:
+        for y in range(n):
+            if y not in used[x] and y not in seen:
+                seen.add(y)
+                if owner[y] < 0 or augment(owner[y], seen):
+                    owner[y] = x
+                    return True
+        return False
+
     for _ in range(k):
-        perm = _disjoint_permutation(rng, n, used, budget)
-        if perm is None:
-            raise BudgetExceededError(
-                f"random regular bipartite generation (n={n}, k={k}, seed={seed}) "
-                "exhausted its retry budget"
-            )
+        owner = [-1] * n  # owner[y]: the x that this round's matching joins to y
         for x in range(n):
-            used[x].add(perm[x])
+            candidates = [y for y in range(n) if owner[y] < 0 and y not in used[x]]
+            if candidates:
+                rng.shuffle(candidates)
+                owner[candidates[0]] = x
+            elif not augment(x, set()):
+                raise AssertionError(f"no augmenting path from x={x}, against Hall's theorem")
+        for y, x in enumerate(owner):
+            used[x].add(y)
     edges = tuple((x, n + y) for x in range(n) for y in sorted(used[x]))
     return Graph(2 * n, edges)
 

@@ -207,8 +207,7 @@ def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
     A check gets its family graph from a builder made for this call, so each
     (family, n, k, seed) graph is built once, when the first of its m-cells
     needs it: that cell's `elapsed_ms` includes the build and the later ones
-    do not.  A build that raises is not kept, so a refused graph gives one
-    not_applicable record per m.  Nothing is kept across calls."""
+    do not.  Nothing is kept across calls."""
     if theorem_id not in _CLAIMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     grid, check = _CLAIMS[theorem_id]

@@ -340,9 +340,10 @@ def test_samples_default_to_five_graphs_per_regular_cell(capsys):
     assert len(json.loads(capsys.readouterr().out)) == 2
 
 
-def test_gen_exits_2_when_the_random_regular_budget_runs_out(capsys):
-    assert main(["gen", "random_regular", "16", "12", "--seed", "19"]) == EXIT_BUDGET
-    assert "budget refusal: " in capsys.readouterr().err
+def test_gen_writes_a_dense_random_regular_graph(capsys):
+    # seed 19 meets a dead end while drawing; the draw must still end in a graph
+    assert main(["gen", "random_regular", "16", "12", "--seed", "19"]) == EXIT_OK
+    assert "\nbipartite 16 16 192\n" in capsys.readouterr().out
 
 
 def test_gen_seed_on_a_family_that_is_not_random_is_a_usage_error(capsys):
@@ -445,6 +446,37 @@ def test_non_integer_metadata_is_a_file_error_before_any_search(command, tmp_pat
     assert capsys.readouterr().err == (
         f"rainbowlab: error: {bad}: non-integer field in line "
         "'# rainbowlab family=circulant n=3 k=z'\n")
+
+
+@pytest.mark.parametrize(
+    ("family", "edit", "message"),
+    [
+        (["circulant", "7", "3"], ("k=3", "k=4"),
+         "circulant k=4 does not describe a graph with degrees [3]"),
+        (["circulant", "7", "3"], ("n=7", "n=9"),
+         "circulant n=9 does not describe a graph on 14 vertices"),
+        (["random_regular", "6", "3"], ("k=3", "k=2"),
+         "random_regular k=2 does not describe a graph with degrees [3]"),
+        (["complete_bipartite", "3"], ("n=3", "n=3 k=2"),
+         "complete_bipartite has k = n, got n=3 k=2"),
+        (["path", "6"], ("n=6", "n=7"), "path n=7 does not describe a graph with 6 edges"),
+        (["cycle", "6"], ("n=6", "n=5"), "cycle n=5 does not describe a graph with 6 edges"),
+    ],
+    ids=["circulant_k", "circulant_n", "random_regular_k", "complete_bipartite_k", "path_n",
+         "cycle_n"],
+)
+@pytest.mark.parametrize("command", ["rb", "ext"])
+def test_metadata_that_does_not_describe_the_graph_is_a_file_error(command, family, edit,
+                                                                   message, tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    budget = ["--budget-edges", "21"] if command == "rb" else []
+    assert main(["gen", *family, "--out", str(graph)]) == EXIT_OK
+    assert main([command, str(graph), "3", *budget]) == EXIT_OK  # the file as written
+    text = graph.read_text(encoding="utf-8")
+    graph.write_text(text.replace(*edit, 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, str(graph), "3"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"rainbowlab: error: {graph}: {message}\n"
 
 
 def test_uncertified_construction_exits_4(monkeypatch, capsys):

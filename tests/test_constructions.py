@@ -156,3 +156,11 @@ def test_lower_bound_linkage():
 def test_construction_range_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_only_the_path_pattern_points_a_long_input_to_the_simple_path_pattern():
+    with pytest.raises(ValueError, match="takes extremal_coloring_path_simple$"):
+        extremal_coloring_path_tight(10, 3)
+    with pytest.raises(ValueError) as exc:
+        extremal_coloring_cycle_tight(10, 3)
+    assert str(exc.value) == "tight pattern applies only for n <= 3m-3 (got n=10, m=3)"

@@ -238,6 +238,13 @@ def test_rb_sandwich_regular():
             assert lo <= rb_exact(g, m).rb_value <= hi, (n, k, m)
 
 
+def test_rb_of_random_regular_6_3_is_5_on_every_ladder_seed():
+    # the benchmark ladder pins rb = 5 for this cell with m = 3 on seeds 0..119
+    for seed in range(120):
+        g = make_random_regular_bipartite(6, 3, seed)
+        assert rb_exact(g, 3, edge_budget=18).rb_value == 5, seed
+
+
 def test_rb_budget_refusal_and_override():
     g = make_circulant_regular_bipartite(5, 4)  # 20 edges
     with pytest.raises(BudgetExceededError):

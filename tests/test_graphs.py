@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rainbowlab import (
-    BudgetExceededError,
     Graph,
     identify_vertices,
     make_circulant_regular_bipartite,
@@ -122,10 +121,33 @@ def test_random_regular_deterministic():
     assert make_random_regular_bipartite(6, 3, 1) == make_random_regular_bipartite(6, 3, 1)
 
 
-def test_random_regular_refuses_when_its_retry_budget_runs_out():
-    # seed 19 exhausts the budget; the builder must not hand back another family
-    with pytest.raises(BudgetExceededError, match="n=16, k=12, seed=19"):
-        make_random_regular_bipartite(16, 12, 19)
+def _random_regular_cells():
+    yield from ((n, k, seed) for n in range(1, 21) for k in range(1, n + 1) for seed in range(5))
+    yield 16, 12, 19
+    yield from ((20, 18, seed) for seed in range(30))
+
+
+def test_random_regular_builds_every_dense_cell():
+    # the shuffled draw meets a dead end, and takes an augmenting path, on 659 of
+    # the n <= 20 cells, on (16, 12, 19) and on every (20, 18, seed) cell
+    for n, k, seed in _random_regular_cells():
+        g = make_random_regular_bipartite(n, k, seed)
+        assert g.vertex_count == 2 * n and g.edge_count == n * k, (n, k, seed)
+        assert g.bipartition[0] == frozenset(range(n)), (n, k, seed)
+        assert all(d == k for d in g.degrees()), (n, k, seed)
+        assert make_random_regular_bipartite(n, k, seed) == g, (n, k, seed)
+
+
+@pytest.mark.parametrize("n, rows", [
+    (6, [[2, 3, 4], [0, 2, 5], [1, 3, 4], [0, 1, 5], [1, 4, 5], [0, 2, 3]]),
+    (13, [[0, 1, 8], [5, 8, 9], [1, 2, 3], [2, 3, 8], [3, 7, 10], [4, 11, 12], [0, 1, 6],
+          [4, 5, 10], [2, 7, 9], [5, 7, 12], [0, 6, 11], [4, 9, 12], [6, 10, 11]]),
+])
+def test_random_regular_draw_is_pinned_where_no_augmenting_path_is_needed(n, rows):
+    # rows[x] lists the Y indices of x; these draws meet no dead end, so they
+    # are the plain shuffle-and-take-first draws and must not drift
+    expected = tuple((x, n + y) for x, ys in enumerate(rows) for y in ys)
+    assert make_random_regular_bipartite(n, 3, 1).edges == expected
 
 
 def test_handshake_identity_across_builders():

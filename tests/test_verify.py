@@ -59,14 +59,12 @@ def test_default_t24_refuses_exactly_the_cells_over_the_edge_budget():
     assert all(r.n * r.k > 16 for r in refused)
 
 
-def test_random_regular_budget_refusal_is_a_not_applicable_record():
+def test_a_dense_random_regular_sweep_matches_on_every_seed():
+    # seed 19 meets a dead end while drawing its graph, and must still be checked
     records = verify_theorem("T2.3", n_range=(16, 16), k_range=(12, 12), m_range=(2, 2),
                              samples=21)
     assert [r.seed for r in records] == [None, *range(20)]
-    refused = [r for r in records if r.status == "not_applicable"]
-    assert [r.seed for r in refused] == [19]
-    assert refused[0].note.startswith("budget refusal: ")
-    assert all(r.status == "match" for r in records if r.seed != 19)
+    assert all(r.status == "match" for r in records)
 
 
 def test_unknown_claim_id_lists_the_known_ones():
