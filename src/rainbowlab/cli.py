@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, rb, ext, check, construct, verify, monotonicity.
+Subcommands: gen, rb, ext, check, construct, verify, monotonicity (verify T3.2/C3.3).
 Exit codes: 0 success, 1 precondition or parse error, 2 budget refusal,
-3 unacknowledged discrepancy (verify, monotonicity), 4 failed certification
+3 unacknowledged discrepancy (verify, so monotonicity), 4 failed certification
 (construct).  Each subcommand accepts only the flags it reads; an unknown flag
 is a parse error.
 """
@@ -48,7 +48,6 @@ from .verify import (
     apply_allowlist,
     has_blocking_discrepancy,
     load_allowlist,
-    monotonicity_records,
     summary_line,
     verify_theorem,
 )
@@ -135,13 +134,15 @@ def build_parser() -> _Parser:
     p.add_argument("theorem", choices=THEOREM_IDS)
     p.add_argument("--k", type=_parse_range, default=None, metavar="A..B")
 
+    # verify T3.2/C3.3 under the name that bench/workloads.py's sweep calls
     sub.add_parser(
         "monotonicity", parents=[sweep],
         help="check that identifying vertices never lowers the rainbow number",
         description="Check that closing a path into a cycle never lowers the rainbow "
                     "number, then merge random vertex pairs of paths.  --n and --m bound "
                     "only the path-vs-cycle cells; the --samples random identifications "
-                    "always merge two vertices of a path with 5-8 edges, at m = 2.")
+                    "always merge two vertices of a path with 5-8 edges, at m = 2."
+    ).set_defaults(theorem="T3.2/C3.3", k=None)
     return parser
 
 
@@ -332,7 +333,11 @@ def _cmd_construct(args) -> int:
         report = extremal_coloring_regular(load_graph(path), m)
         label = f"{kind} graph={path.name} m={m}"
     else:
-        n = int(args.source)
+        try:
+            n = int(args.source)
+        except ValueError:
+            raise ValueError(f"construct {kind} takes N, which must be an integer, "
+                             f"got {args.source!r}") from None
         builder = {
             "path_simple": extremal_coloring_path_simple,
             "path_tight": extremal_coloring_path_tight,
@@ -356,7 +361,10 @@ RECORD_COLUMNS = ["theorem_id", "family", "n", "k", "m", "seed", "oracle_value",
                   "claimed", "status", "acknowledged", "elapsed_ms", "note"]
 
 
-def _finish_records(records, args) -> int:
+def _cmd_verify(args) -> int:
+    records = verify_theorem(args.theorem, n_range=args.n, k_range=args.k,
+                             m_range=args.m, samples=args.samples, seed=args.seed,
+                             edge_budget=args.budget_edges, timeout_ms=args.timeout_ms)
     if not records:
         raise ValueError("the given ranges select no cell, so the sweep checks nothing")
     if args.allowlist is not None:
@@ -367,20 +375,6 @@ def _finish_records(records, args) -> int:
     return EXIT_DISCREPANCY if has_blocking_discrepancy(records) else EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    records = verify_theorem(args.theorem, n_range=args.n, k_range=args.k,
-                             m_range=args.m, samples=args.samples, seed=args.seed,
-                             edge_budget=args.budget_edges, timeout_ms=args.timeout_ms)
-    return _finish_records(records, args)
-
-
-def _cmd_monotonicity(args) -> int:
-    records = monotonicity_records(n_range=args.n, m_range=args.m,
-                                   samples=args.samples, seed=args.seed,
-                                   edge_budget=args.budget_edges, timeout_ms=args.timeout_ms)
-    return _finish_records(records, args)
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "rb": _cmd_rb,
@@ -388,7 +382,7 @@ _COMMANDS = {
     "check": _cmd_check,
     "construct": _cmd_construct,
     "verify": _cmd_verify,
-    "monotonicity": _cmd_monotonicity,
+    "monotonicity": _cmd_verify,
 }
 
 

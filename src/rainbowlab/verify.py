@@ -33,7 +33,6 @@ from .graphs import (
     _read_line_file,
     identify_vertices,
     make_family,
-    make_path,
 )
 # Unused here; kept because bench/test_bench.py checks that the benchmark's
 # tracer restores verify.max_matching_size.
@@ -43,7 +42,6 @@ __all__ = [
     "VerificationRecord",
     "THEOREM_IDS",
     "verify_theorem",
-    "monotonicity_records",
     "load_allowlist",
     "apply_allowlist",
 ]
@@ -52,7 +50,7 @@ STATUS_MATCH = "match"
 STATUS_WITHIN_BOUNDS = "within_bounds"
 STATUS_DISCREPANCY = "discrepancy"
 STATUS_NOT_APPLICABLE = "not_applicable"
-DEFAULT_SAMPLES = 5  # graphs per regular cell, or random identifications
+DEFAULT_SAMPLES = 5  # graphs per regular cell; T3.2/C3.3 reads random identifications
 
 
 @dataclass
@@ -114,8 +112,29 @@ def _edge_count_grid(family: str, n_default: tuple[int, int], m_top):
 
 
 _path_grid = _edge_count_grid("path", (2, 9), lambda n: (n + 1) // 2)
-_path_vs_cycle_grid = _edge_count_grid("path_vs_cycle", (3, 8), lambda n: n // 2)
 _cycle_grid = _edge_count_grid("cycle", (3, 9), lambda n: n // 2)
+
+
+def _random_identification(seed: int) -> tuple[int, int, int]:
+    """(n, u, v): a path with 5..8 edges and a uniform pair of its vertices among
+    those identify_vertices accepts, which on a path are those >= 3 apart."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    u, v = rng.choice([(u, v) for u in range(n + 1) for v in range(u + 3, n + 1)])
+    return n, u, v
+
+
+def _identification_grid(n_range, k_range, m_range, samples: int | None, seed: int):
+    """The path_vs_cycle cells, then samples random identifications at m = 2,
+    the i-th drawn from seed + i."""
+    samples = DEFAULT_SAMPLES if samples is None else samples
+    if samples < 0:
+        raise ValueError("samples must be at least 0 (0 skips the random identifications), "
+                         f"got {samples}")
+    yield from _edge_count_grid("path_vs_cycle", (3, 8), lambda n: n // 2)(
+        n_range, k_range, m_range, None, seed)
+    for s in range(seed, seed + samples):
+        yield "random_identification", _random_identification(s)[0], None, 2, s
 
 
 # --- checks: (rb, build, family, n, k, m, seed) -> (oracle, claimed, status, note)
@@ -151,25 +170,28 @@ def _check_rb_formula(rb, build, family, n, k, m, seed):
                   "formula cell flagged as disputed" if disputed else "")
 
 
-def _identification_check(rb, g: Graph, merged: Graph, m: int, note: str):
-    rb_g, rb_merged = rb(g, m), rb(merged, m)
-    status = STATUS_MATCH if rb_g <= rb_merged else STATUS_DISCREPANCY
-    return rb_g, (None, rb_merged), status, note
+def _check_identification(rb, build, family, n, k, m, seed):
+    path = build("path", n)
+    if family == "path_vs_cycle":
+        # identifying the two ends of the path with n edges gives the n-cycle, edge for edge
+        merged, note = build("cycle", n), "path value must not exceed the identified-cycle value"
+    else:
+        _, u, v = _random_identification(seed)
+        merged = identify_vertices(path, u, v)
+        note = f"merged vertices {u} and {v} of a path with {n} edges"
+    rb_path, rb_merged = rb(path, m), rb(merged, m)
+    status = STATUS_MATCH if rb_path <= rb_merged else STATUS_DISCREPANCY
+    return rb_path, (None, rb_merged), status, note
 
 
-def _check_path_vs_cycle(rb, build, family, n, k, m, seed):
-    # identifying the two ends of the path with n edges gives the n-cycle, edge for edge
-    return _identification_check(rb, build("path", n), build("cycle", n), m,
-                                 "path value must not exceed the identified-cycle value")
-
-
-# Claim id -> (instance grid, check), in the order the CLI lists them.
+# Claim id -> (instance grid, check), in the order the CLI lists them.  samples
+# counts graphs per regular cell and T3.2/C3.3's random identifications.
 _CLAIMS = {
     "T2.3": (_regular_grid, _check_ext_regular),
     "T2.4": (_regular_grid, _check_rb_bounds),
     "T2.5": (_regular_grid, _check_rb_formula),
     "T3.1": (_path_grid, _check_rb_bounds),
-    "T3.2/C3.3": (_path_vs_cycle_grid, _check_path_vs_cycle),
+    "T3.2/C3.3": (_identification_grid, _check_identification),
     "T3.4": (_cycle_grid, _check_rb_bounds),
     "T3.5": (_path_grid, _check_rb_formula),
     "T3.6": (_cycle_grid, _check_rb_formula),
@@ -215,42 +237,6 @@ def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
     build = functools.cache(make_family)
     return [_record(theorem_id, cell, lambda: check(rb, build, *cell))
             for cell in grid(n_range, k_range, m_range, samples, seed)]
-
-
-def monotonicity_records(*, n_range=None, m_range=None, samples: int | None = None,
-                         seed: int = 0, edge_budget: int = DEFAULT_EDGE_BUDGET,
-                         timeout_ms: float | None = None) -> list[VerificationRecord]:
-    """Identification monotonicity: closing a path into a cycle never lowers
-    the rainbow number, plus seeded random identifications on small graphs."""
-    samples = DEFAULT_SAMPLES if samples is None else samples
-    if samples < 0:
-        raise ValueError("samples must be at least 0 (0 skips the random identifications), "
-                         f"got {samples}")
-    records = verify_theorem("T3.2/C3.3", n_range=n_range, m_range=m_range, seed=seed,
-                             edge_budget=edge_budget, timeout_ms=timeout_ms)
-    records.extend(_random_identification_records(samples, seed,
-                                                  _budgeted_rb(edge_budget, timeout_ms)))
-    return records
-
-
-def _random_identification_records(samples: int, seed: int, rb) -> list[VerificationRecord]:
-    rng = random.Random(seed)
-    records: list[VerificationRecord] = []
-    trials = 0
-    while len(records) < samples and trials < 50 * max(samples, 1):
-        trials += 1
-        n = rng.randint(5, 8)
-        g = make_path(n)
-        u, v = rng.sample(range(g.vertex_count), 2)
-        try:
-            merged = identify_vertices(g, u, v)
-        except ValueError:
-            continue
-        note = f"merged vertices {u} and {v} of a path with {n} edges"
-        records.append(_record(
-            "T3.2/C3.3", ("random_identification", n, None, 2, seed + trials),
-            lambda: _identification_check(rb, g, merged, 2, note)))
-    return records
 
 
 # --- allowlist ----------------------------------------------------------------

@@ -253,6 +253,14 @@ def test_construct_with_the_wrong_arity_is_a_usage_error(params, capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("kind", ["path_simple", "path_tight", "cycle_tight"])
+def test_construct_with_a_non_integer_n_names_the_kind(kind, capsys):
+    assert main(["construct", kind, "x", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"construct {kind} takes N, which must be an integer, got 'x'" in err
+    assert "invalid literal" not in err
+
+
 def test_regular_claim_without_samples_is_a_usage_error(capsys):
     assert main(["verify", "T2.4", "--samples", "0"]) == EXIT_USAGE
     assert "samples must be at least 1" in capsys.readouterr().err
@@ -268,12 +276,29 @@ def test_monotonicity_with_a_negative_sample_count_is_a_usage_error(capsys):
 
 
 def test_verify_csv_has_the_record_columns(capsys):
-    assert main(["verify", "T3.2/C3.3", "--n", "3..4", "--format", "csv"]) == EXIT_OK
+    assert main(["verify", "T3.2/C3.3", "--n", "3..4", "--samples", "0",
+                 "--format", "csv"]) == EXIT_OK
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0] == cli.RECORD_COLUMNS
     [record] = [dict(zip(rows[0], row)) for row in rows[1:]]
     assert (record["family"], record["n"], record["m"]) == ("path_vs_cycle", "4", "2")
     assert (record["oracle_value"], record["claimed"], record["status"]) == ("2", "..3", "match")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[], ["--n", "3..6", "--samples", "3", "--seed", "4"], ["--m", "2..2", "--samples", "0"],
+     ["--budget-edges", "5", "--samples", "2"], ["--samples", "-1"]],
+    ids=["defaults", "samples", "m_only", "budget", "negative_samples"],
+)
+def test_monotonicity_is_verify_t32_c33(args, capsys):
+    def run(argv):
+        rc = main(argv + args + ["--format", "json"])
+        out, err = capsys.readouterr()
+        rows = json.loads(out) if out else []
+        return rc, [dict(row, elapsed_ms=0.0) for row in rows], err
+
+    assert run(["monotonicity"]) == run(["verify", "T3.2/C3.3"])
 
 
 def test_monotonicity_budget_refusal_is_a_record(capsys):

@@ -10,7 +10,6 @@ from rainbowlab import (
     identify_vertices,
     make_family,
     make_path,
-    monotonicity_records,
     rb_exact,
     rb_bounds,
     verify_theorem,
@@ -21,13 +20,14 @@ from rainbowlab.cli import main
 
 # Records of each claim on its default grid: T2.x sweep n = 3..5, k = 2..n,
 # m = 2..3 with m <= n and 5 realizations; T3.1/T3.5 paths with 2..9 edges,
-# T3.4/T3.6 cycles with 3..9 edges, T3.2/C3.3 paths with 3..8 edges.
+# T3.4/T3.6 cycles with 3..9 edges, T3.2/C3.3 paths with 3..8 edges and 5
+# random identifications.
 DEFAULT_GRID_SIZE = {
     "T2.3": 90,
     "T2.4": 90,
     "T2.5": 90,
     "T3.1": 16,
-    "T3.2/C3.3": 9,
+    "T3.2/C3.3": 14,
     "T3.4": 12,
     "T3.5": 16,
     "T3.6": 12,
@@ -46,7 +46,7 @@ def test_default_grid_record_count(theorem_id):
 
 
 def test_monotonicity_default_record_count():
-    records = monotonicity_records()
+    records = verify_theorem("T3.2/C3.3")
     assert len(records) == 9 + 5
     assert [r.family for r in records[9:]] == ["random_identification"] * 5
 
@@ -93,7 +93,7 @@ def test_path_and_cycle_claims_refuse_a_k_range(theorem_id):
         verify_theorem(theorem_id, k_range=(2, 3))
 
 
-@pytest.mark.parametrize("theorem_id", ["T3.1", "T3.2/C3.3", "T3.4", "T3.5", "T3.6"])
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T3.4", "T3.5", "T3.6"])
 def test_path_and_cycle_claims_refuse_a_sample_count(theorem_id):
     with pytest.raises(ValueError, match="sample count cannot be honoured"):
         verify_theorem(theorem_id, samples=5)
@@ -101,15 +101,35 @@ def test_path_and_cycle_claims_refuse_a_sample_count(theorem_id):
     assert verify_theorem(theorem_id, n_range=(4, 4), seed=3)
 
 
-def test_random_identifications_skip_the_pairs_that_graph_rejects():
-    # seed 7 draws adjacent pairs or pairs with a shared neighbour at trials 1, 3, 6, 7, 9
-    # and 10; Graph rejects the merged loop or multi-edge, so those trials get no record
-    records = monotonicity_records(n_range=(3, 3), samples=6, seed=7)
-    assert [(r.seed, r.n, r.note) for r in records] == [
-        (7 + trial, n, f"merged vertices {u} and {v} of a path with {n} edges")
-        for trial, n, u, v in [(2, 5, 0, 4), (4, 5, 4, 1), (5, 5, 0, 3), (8, 5, 4, 0),
-                               (11, 8, 0, 3), (12, 5, 4, 1)]
-    ]
+def _masked(records):
+    return [dict(vars(r), elapsed_ms=0.0) for r in records]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1000])
+def test_each_random_identification_is_the_record_of_its_own_seed(seed):
+    records = verify_theorem("T3.2/C3.3", n_range=(3, 11), samples=10, seed=seed)
+    drawn = [r for r in records if r.family == "random_identification"]
+    assert [r.seed for r in drawn] == list(range(seed, seed + 10))
+    for r in drawn:
+        alone = verify_theorem("T3.2/C3.3", n_range=(3, 3), samples=1, seed=r.seed)
+        assert _masked(alone) == _masked([r])
+
+
+NOTE = re.compile(r"merged vertices (\d+) and (\d+) of a path with (\d+) edges")
+
+
+def test_random_identifications_merge_pairs_at_least_three_apart():
+    records = verify_theorem("T3.2/C3.3", n_range=(3, 3), samples=400)
+    drawn = [(r.n, *map(int, NOTE.fullmatch(r.note).groups())) for r in records]
+    assert all(v - u >= 3 and edges == n for n, u, v, edges in drawn)
+    # every pair that identify_vertices accepts on a path with 5..8 edges is drawn
+    assert {(n, u, v) for n, u, v, _ in drawn} == {
+        (n, u, v) for n in range(5, 9) for u in range(n + 1) for v in range(u + 3, n + 1)}
+    assert all(r.status == "match" for r in records)
+    # the default sweep's draws, which the record's seed reproduces
+    assert [r.note for r in verify_theorem("T3.2/C3.3")[9:]] == [
+        f"merged vertices {u} and {v} of a path with {n} edges"
+        for n, u, v in [(8, 2, 7), (6, 3, 6), (5, 0, 3), (6, 3, 6), (6, 1, 4)]]
 
 
 def test_allowlist_entry_for_another_claim_acknowledges_nothing():
@@ -212,7 +232,7 @@ def test_the_path_vs_cycle_check_builds_each_path_and_cycle_once(monkeypatch):
 
     monkeypatch.setattr(verify, "make_family", counting_build)
     monkeypatch.setattr(verify, "identify_vertices", counting_identify)
-    records = monotonicity_records(n_range=(3, 11), samples=0, seed=11)
+    records = verify_theorem("T3.2/C3.3", n_range=(3, 11), samples=0, seed=11)
     # n = 4..11 with 2 <= m <= n // 2 are 20 cells on 8 paths and their 8 cycles
     assert len(records) == 20
     assert sorted(builds) == sorted((family, n) for family in ("cycle", "path")
@@ -221,7 +241,7 @@ def test_the_path_vs_cycle_check_builds_each_path_and_cycle_once(monkeypatch):
 
 
 def test_the_path_vs_cycle_records_are_those_of_the_identified_path():
-    records = monotonicity_records(n_range=(3, 11), samples=0, seed=11)
+    records = verify_theorem("T3.2/C3.3", n_range=(3, 11), samples=0, seed=11)
     expected = []
     for n in range(4, 12):
         path = make_path(n)
