@@ -139,9 +139,10 @@ def build_parser() -> _Parser:
         "monotonicity", parents=[sweep],
         help="check that identifying vertices never lowers the rainbow number",
         description="Check that closing a path into a cycle never lowers the rainbow "
-                    "number, then merge random vertex pairs of paths.  --n and --m bound "
-                    "only the path-vs-cycle cells; the --samples random identifications "
-                    "always merge two vertices of a path with 5-8 edges, at m = 2."
+                    "number, then merge random vertex pairs of paths.  --n bounds only the "
+                    "path-vs-cycle cells; the --samples random identifications always merge "
+                    "two vertices of a path with 5-8 edges, at m = 2, so they run only when "
+                    "--m includes 2."
     ).set_defaults(theorem="T3.2/C3.3", k=None)
     return parser
 
@@ -201,8 +202,8 @@ def _cell(value) -> str:
 
 def _check_metadata(g: Graph, meta: dict) -> None:
     """Raise ValueError when a known family's n or k does not describe g: a path
-    or cycle has n edges; any other family has 2n vertices, all of degree k,
-    and complete_bipartite has k = n."""
+    or cycle has n edges; any other family is bipartite, with 2n vertices, all
+    of degree k, and complete_bipartite has k = n."""
     family, n, k = meta.get("family"), meta.get("n"), meta.get("k")
     if family in ("path", "cycle"):
         if n not in (None, g.edge_count):
@@ -219,6 +220,8 @@ def _check_metadata(g: Graph, meta: dict) -> None:
         if k is not None and degrees != {k}:
             raise ValueError(f"{family} k={k} does not describe a graph with degrees "
                              f"{sorted(degrees)}")
+        if g.bipartition is None:
+            raise ValueError(f"{family} graphs are bipartite, but this graph has an odd cycle")
 
 
 def _load_graph_and_metadata(path: Path) -> tuple[Graph, dict]:

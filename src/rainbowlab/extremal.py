@@ -86,8 +86,8 @@ def ext_exact(g: Graph, m: int) -> ExtResult:
     answer is the most edges that m-1 vertices touch.  A depth-first branch
     and bound picks the vertices in increasing order, keeping the incident
     edges of the picked ones as a bitmask; a node with j picks left among
-    vertices v and above is cut when its covered edges plus the j largest
-    degrees among those vertices cannot beat the best count.  Only a
+    vertices v and above is cut when its covered edges plus j times the
+    largest degree among those vertices cannot beat the best count.  Only a
     strictly larger count replaces the best, and ties are cut, so the result
     is the lexicographically first (m-1)-subset of maximum coverage, the one
     a scan of every subset in order would return.  `cover` holds it and
@@ -103,49 +103,42 @@ def ext_exact(g: Graph, m: int) -> ExtResult:
     if m == 1:
         return ExtResult(0, frozenset(), frozenset())
     if g.bipartition is not None:
-        return _ext_cover_based(g, m)
-    if g.edge_count > NONBIPARTITE_EXT_MAX_EDGES:
+        value, mask, cover = _ext_cover_based(g, m)
+    elif g.edge_count > NONBIPARTITE_EXT_MAX_EDGES:
         raise BudgetExceededError(
             f"non-bipartite ext search is limited to {NONBIPARTITE_EXT_MAX_EDGES} edges, "
             f"got {g.edge_count}"
         )
-    return _ext_branch_and_bound(g, m)
+    else:
+        value, mask, cover = _ext_branch_and_bound(g, m)
+    return ExtResult(value, frozenset(j + 1 for j in range(g.edge_count) if mask >> j & 1), cover)
 
 
-def _ext_cover_based(g: Graph, m: int) -> ExtResult:
-    vertex_count = g.vertex_count
-    cover_size = min(m - 1, vertex_count)
-    incidence, degrees = g.incidence, g.degrees()
-    top = []  # top[v][j]: sum of the j largest degrees among vertices v, v+1, ...
-    for v in range(vertex_count):
-        largest = sorted(degrees[v:], reverse=True)[:cover_size]
-        top.append(list(accumulate(largest, initial=0)))
-    best_value = -1
-    best_mask = 0
-    best_cover: tuple[int, ...] = ()
-    chosen: list[int] = []
+def _ext_cover_based(g: Graph, m: int) -> tuple[int, int, frozenset[int]]:
+    vertex_count, incidence = g.vertex_count, g.incidence
+    # most[v]: the largest degree among vertices v, v+1, ...
+    most = list(accumulate(reversed(g.degrees()), max))[::-1]
+    best = (-1, 0, 0)  # covered edge count, covered edges and cover, as bitmasks
 
-    def extend(v: int, need: int, covered: int):
-        nonlocal best_value, best_mask, best_cover
+    def extend(v: int, need: int, covered: int, cover: int):
+        nonlocal best
         count = covered.bit_count()
         if need == 0:
-            if count > best_value:
-                best_value, best_mask, best_cover = count, covered, tuple(chosen)
+            if count > best[0]:
+                best = (count, covered, cover)
             return
         for u in range(v, vertex_count - need + 1):
-            # top[u][need] only shrinks as u grows, so no later u can do better
-            if count + top[u][need] <= best_value:
+            # most[u] only shrinks as u grows, so no later u can do better
+            if count + need * most[u] <= best[0]:
                 return
-            chosen.append(u)
-            extend(u + 1, need - 1, covered | incidence[u])
-            chosen.pop()
+            extend(u + 1, need - 1, covered | incidence[u], cover | 1 << u)
 
-    extend(0, cover_size, 0)
-    witness = frozenset(j + 1 for j in range(g.edge_count) if best_mask >> j & 1)
-    return ExtResult(best_value, witness, frozenset(best_cover))
+    extend(0, min(m - 1, vertex_count), 0, 0)
+    value, covered, cover = best
+    return value, covered, frozenset(v for v in range(vertex_count) if cover >> v & 1)
 
 
-def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
+def _ext_branch_and_bound(g: Graph, m: int) -> tuple[int, int, None]:
     disjoint = g.disjoint
     edge_count = g.edge_count
     best_value = 0
@@ -166,8 +159,7 @@ def _ext_branch_and_bound(g: Graph, m: int) -> ExtResult:
         bb(i + 1, chosen_mask, chosen_count)
 
     bb(0, 0, 0)
-    witness = frozenset(j + 1 for j in range(edge_count) if best_mask >> j & 1)
-    return ExtResult(best_value, witness, None)
+    return best_value, best_mask, None
 
 
 def ext_formula_regular(n: int, k: int, m: int) -> int:

@@ -126,15 +126,16 @@ def _random_identification(seed: int) -> tuple[int, int, int]:
 
 def _identification_grid(n_range, k_range, m_range, samples: int | None, seed: int):
     """The path_vs_cycle cells, then samples random identifications at m = 2,
-    the i-th drawn from seed + i."""
+    the i-th drawn from seed + i, when m_range includes 2."""
     samples = DEFAULT_SAMPLES if samples is None else samples
     if samples < 0:
         raise ValueError("samples must be at least 0 (0 skips the random identifications), "
                          f"got {samples}")
     yield from _edge_count_grid("path_vs_cycle", (3, 8), lambda n: n // 2)(
         n_range, k_range, m_range, None, seed)
-    for s in range(seed, seed + samples):
-        yield "random_identification", _random_identification(s)[0], None, 2, s
+    if m_range is None or m_range[0] <= 2 <= m_range[1]:
+        for s in range(seed, seed + samples):
+            yield "random_identification", _random_identification(s)[0], None, 2, s
 
 
 # --- checks: (rb, build, family, n, k, m, seed) -> (oracle, claimed, status, note)

@@ -336,6 +336,9 @@ def test_a_sweep_that_selects_no_cell_is_a_usage_error(capsys):
     # k = 9 exceeds n = 3, so no regular graph exists: the sweep would check nothing
     assert main(["verify", "T2.3", "--n", "3", "--k", "9..9"]) == EXIT_USAGE
     assert "select no cell" in capsys.readouterr().err
+    # no path has a cell at m = 9, and the random identifications are at m = 2
+    assert main(["verify", "T3.2/C3.3", "--m", "9..9", "--samples", "1"]) == EXIT_USAGE
+    assert "select no cell" in capsys.readouterr().err
     # no path with 3 edges has a cell, but the random identifications are records
     assert main(["monotonicity", "--n", "3..3", "--format", "json"]) == EXIT_OK
     families = {record["family"] for record in json.loads(capsys.readouterr().out)}
@@ -455,18 +458,21 @@ def test_a_malformed_line_file_is_named_in_the_error(argv, bad_file, text, messa
     assert graph not in err
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched a graph whose metadata is a file error")
+
+    monkeypatch.setattr(cli, "rb_exact", refuse)
+    monkeypatch.setattr(cli, "ext_exact", refuse)
+
+
 @pytest.mark.parametrize("command", ["rb", "ext"])
-def test_non_integer_metadata_is_a_file_error_before_any_search(command, tmp_path, monkeypatch,
+def test_non_integer_metadata_is_a_file_error_before_any_search(command, tmp_path, no_search,
                                                                  capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("# rainbowlab family=circulant n=3 k=z\nbipartite 3 3 3\n0 3\n1 4\n2 5\n",
                    encoding="utf-8")
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("searched a graph whose metadata does not parse")
-
-    monkeypatch.setattr(cli, "rb_exact", no_search)
-    monkeypatch.setattr(cli, "ext_exact", no_search)
     assert main([command, str(bad), "2"]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"rainbowlab: error: {bad}: non-integer field in line "
@@ -502,6 +508,32 @@ def test_metadata_that_does_not_describe_the_graph_is_a_file_error(command, fami
     capsys.readouterr()
     assert main([command, str(graph), "3"]) == EXIT_USAGE
     assert capsys.readouterr().err == f"rainbowlab: error: {graph}: {message}\n"
+
+
+# Graphs with the vertex count and the degrees of the family they claim, and an
+# odd cycle: the triangular prism as K_{3,3}, and the 8-cycle with its four
+# long chords as a 3-regular graph on 4 + 4 vertices.
+ODD_CYCLE_GRAPHS = {
+    "prism": ("complete_bipartite n=3", 6,
+              [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "chorded_8_cycle": ("circulant n=4 k=3", 8,
+                        [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(ODD_CYCLE_GRAPHS))
+@pytest.mark.parametrize("command", ["rb", "ext"])
+def test_a_bipartite_family_with_an_odd_cycle_is_a_file_error_before_any_search(
+        command, graph, tmp_path, no_search, capsys):
+    label, vertex_count, edges = ODD_CYCLE_GRAPHS[graph]
+    bad = tmp_path / f"{graph}.graph"
+    bad.write_text(f"# rainbowlab family={label}\ngraph {vertex_count} {len(edges)}\n"
+                   + "".join(f"{u} {v}\n" for u, v in edges), encoding="utf-8")
+    assert main([command, str(bad), "2"]) == EXIT_USAGE
+    family = label.split()[0]
+    assert capsys.readouterr().err == (
+        f"rainbowlab: error: {bad}: {family} graphs are bipartite, but this graph has an "
+        "odd cycle\n")
 
 
 def test_uncertified_construction_exits_4(monkeypatch, capsys):

@@ -115,6 +115,17 @@ def test_each_random_identification_is_the_record_of_its_own_seed(seed):
         assert _masked(alone) == _masked([r])
 
 
+@pytest.mark.parametrize(("m_range", "drawn"), [((3, 3), 0), ((9, 9), 0), ((2, 3), 2),
+                                               ((1, 2), 2), (None, 2)])
+def test_random_identifications_run_only_when_the_m_range_includes_2(m_range, drawn):
+    records = verify_theorem("T3.2/C3.3", n_range=(6, 8), m_range=m_range, samples=2)
+    families = [r.family for r in records]
+    assert families.count("random_identification") == drawn
+    assert families.count("path_vs_cycle") == len(verify_theorem(
+        "T3.2/C3.3", n_range=(6, 8), m_range=m_range, samples=0))
+    assert all(r.m == 2 for r in records if r.family == "random_identification")
+
+
 NOTE = re.compile(r"merged vertices (\d+) and (\d+) of a path with (\d+) edges")
 
 
