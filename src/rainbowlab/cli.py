@@ -200,14 +200,31 @@ def _cell(value) -> str:
 # --- graph file metadata --------------------------------------------------------
 
 
+def _connected(g: Graph) -> bool:
+    """Whether the vertices of g that have an edge form one component."""
+    seen, stack = set(), [u for u, _ in g.edges[:1]]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(w for edge in g.edges if v in edge for w in edge)
+    return len(seen) == sum(1 for d in g.degrees() if d)
+
+
 def _check_metadata(g: Graph, meta: dict) -> None:
     """Raise ValueError when a known family's n or k does not describe g: a path
-    or cycle has n edges; any other family is bipartite, with 2n vertices, all
-    of degree k, and complete_bipartite has k = n."""
+    or cycle has n edges and, isolated vertices aside, is connected with degrees
+    1, 1, 2, ..., 2 (path) or 2, ..., 2 (cycle); any other family is bipartite,
+    with 2n vertices, all of degree k, and complete_bipartite has k = n."""
     family, n, k = meta.get("family"), meta.get("n"), meta.get("k")
     if family in ("path", "cycle"):
         if n not in (None, g.edge_count):
             raise ValueError(f"{family} n={n} does not describe a graph with {g.edge_count} edges")
+        shape = [1, 1] + [2] * (g.edge_count - 1) if family == "path" else [2] * g.edge_count
+        if sorted(d for d in g.degrees() if d) != shape or not _connected(g):
+            degrees = "1, 1, 2, ..., 2" if family == "path" else "2, ..., 2"
+            raise ValueError(f"{family} graphs are connected with degrees {degrees}, "
+                             "but this graph is not")
     elif family in FAMILIES:
         if n is not None and 2 * n != g.vertex_count:
             raise ValueError(f"{family} n={n} does not describe a graph on "

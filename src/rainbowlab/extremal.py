@@ -5,11 +5,14 @@ size m.  rb_exact computes the rainbow number rb(G, m) = f(G, m) + 1, where
 f(G, m) is the largest number of colors in a surjective edge-coloring of G
 with no rainbow m-matching; the search enumerates canonical restricted-growth
 colorings with two prunes (a rainbow m-matching among the colored edges, and
-a bound on new colors that forward-checks which uncolored edges can still
-open one), both answered by one rainbow-matching kernel (_closable), and
-returns the lexicographically smallest extremal coloring.  On a bipartite
-graph the search stops at its first leaf with ext(G, m) colors, since no
-rainbow-free coloring has more (the paper's rb <= ext + 1).
+a bound on new colors), and returns the lexicographically smallest extremal
+coloring.  The bound counts the uncolored edges that can still open a new
+color (_closable), and caps those away from a largest rainbow matching
+already colored (_rainbow_matching) by the edges at a few largest-degree
+vertices: the paper's fact behind rb <= ext + 1 (one edge of each color
+spans no m-matching) applied at every node.  On a bipartite graph the search
+also stops at its first leaf with ext(G, m) colors, since no rainbow-free
+coloring has more.
 
 Three entry points evaluate the closed forms: ext_formula_regular (ext on
 k-regular bipartite graphs), rb_bounds (bounds on rb for k-regular families,
@@ -21,6 +24,7 @@ and names the violated constraint on rejection.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -191,12 +195,57 @@ def _closable(avail: int, need: int, target: int, disjoint: tuple[int, ...], col
     return found
 
 
-def _search(disjoint: tuple[int, ...], m: int, deadline: float | None, ceiling: int):
-    """Search the canonical colorings of the len(disjoint) edges in
-    lexicographic order; return the best rainbow-free color count, its
-    lexicographically smallest assignment, and the number of search nodes
-    visited.  Edges are colored in index order, so at edge i the colored
-    edges are exactly the edges before i.
+def _rainbow_matching(avail: int, need: int, disjoint: tuple[int, ...], colors: list[int],
+                      color_masks: list[int]) -> int | None:
+    """One rainbow matching of `need` edges inside bitmask `avail`, as a
+    bitmask, or None when there is none: the first in lowest-edge-first order."""
+    if need == 0:
+        return 0
+    while avail.bit_count() >= need:
+        low = avail & -avail
+        j = low.bit_length() - 1
+        avail ^= low
+        rest = _rainbow_matching(avail & disjoint[j] & ~color_masks[colors[j]], need - 1,
+                                 disjoint, colors, color_masks)
+        if rest is not None:
+            return rest | low
+    return None
+
+
+def _odd_girth(g: Graph) -> int | None:
+    """The length of a shortest odd cycle of g, or None when g is bipartite.
+
+    An edge whose ends are both at distance d from a vertex v closes an odd
+    walk of length 2d + 1, which holds an odd cycle no longer.  Walking round
+    a shortest odd cycle through v, the distance from v changes by at most 1
+    per edge and returns to 0 after an odd number of edges, so some edge has
+    equal ends, at distance at most half the cycle's length: a breadth-first
+    search from every vertex finds the shortest odd cycle exactly."""
+    if g.bipartition is not None:
+        return None
+    neighbours: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    lengths = []
+    for root in range(g.vertex_count):
+        dist = {root: 0}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in neighbours[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        lengths += (2 * dist[u] + 1 for u, v in g.edges if u in dist and dist[u] == dist[v])
+    return min(lengths)
+
+
+def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
+    """Search the canonical colorings of g's edges in lexicographic order;
+    return the best rainbow-free color count, its lexicographically smallest
+    assignment, and the number of search nodes visited.  Edges are colored in
+    index order, so at edge i the colored edges are exactly the edges before i.
 
     `ceiling` is an upper bound on that count.  The search returns at the
     first leaf that reaches it and otherwise exhausts the tree.  Leaves are
@@ -208,25 +257,52 @@ def _search(disjoint: tuple[int, ...], m: int, deadline: float | None, ceiling: 
     colored edges avoids j: a new color on j would complete a rainbow
     m-matching.  The closed mask is exact, since after edge i is colored only
     matchings through i are new, and those avoid only edges disjoint from i;
-    one _closable call re-tests those of them that are still open.
+    one _closable call re-tests those of them that are still open.  It is
+    made only when the child's r (below) is m - 1, since a new rainbow
+    (m-1)-matching through edge i would raise r to m - 1.
 
     Prune (a): colors of colored edges are final, so a branch dies the moment
     edge i's color c completes a rainbow m-matching, that is, when a rainbow
     (m-1)-matching among the colored edges avoids both edge i and color c.
     For a new color that is edge i's closed bit.  An open edge has no such
     matching for any c, so only a closed edge searches, once per reused color.
-    Prune (b): closed edges can only reuse colors, so with best t* found, a
-    node whose colors-so-far plus open uncolored edges cannot exceed t* is
-    hopeless.
+
+    Prune (b): each node carries r, the size of a largest rainbow matching M
+    among the colored edges, and `touch`, the edges at M's 2r vertices.
+    Coloring edge i can raise r only by one, through a matching that uses
+    edge i, so a child looks for a rainbow r-matching among the colored edges
+    disjoint from edge i and not of its color (_rainbow_matching); when there
+    is one, it plus edge i is the child's M.  A leaf below the node with T > t
+    colors gives each new color a first edge.  Those T - t edges are open now,
+    since a closed edge never takes a new color and closed edges stay closed.
+    A matching among those that miss touch, joined to M, is a rainbow matching
+    of the leaf (M's colors are old and distinct, theirs new and distinct);
+    the leaf is rainbow-free, so their matching number is at most
+    s = m - 1 - r.  An edge set of matching number at most s is covered by the
+    at most 2s ends of a maximal matching, and by s vertices when it is
+    bipartite (Koenig).  It is bipartite when G is, or when G's odd girth
+    exceeds 2s + 1, since an odd cycle of length 2j + 1 holds a j-matching.
+    So, with cap[s] the sum of the s (or 2s) largest degrees of G,
+    T <= t + |open & touch| + min(|open - touch|, cap[s]), and a node whose
+    bound is at most the best count found is cut.  The bound is never weaker
+    than t + |open|, which is tested first as it is cheaper.
     """
+    disjoint, incidence = g.disjoint, g.incidence
     edge_count = len(disjoint)
+    # ends[j]: the edges at either end of edge j
+    ends = [incidence[u] | incidence[v] for u, v in g.edges]
+    degrees = sorted(g.degrees(), reverse=True)
+    girth = _odd_girth(g)
+    # room[r] = cap[s] for s = m - 1 - r
+    room = [sum(degrees[:s if girth is None or girth > 2 * s + 1 else 2 * s])
+            for s in range(m - 1, -1, -1)]
     colors = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
     best_t = 0
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
 
-    def assign(i: int, t: int, closed: int):
+    def assign(i: int, t: int, closed: int, r: int, touch: int):
         nonlocal best_t, best_assignment, nodes
         nodes += 1
         # checked at the first node too, so small searches honour the deadline
@@ -238,7 +314,9 @@ def _search(disjoint: tuple[int, ...], m: int, deadline: float | None, ceiling: 
                 best_t = t
                 best_assignment = tuple(colors)
             return best_t == ceiling
-        if t + (edge_count - i) - (closed >> i).bit_count() <= best_t:
+        # the bound is min(t + |open|, t + |open & touch| + room[r])
+        if (t + (edge_count - i) - (closed >> i).bit_count() <= best_t
+                or t + ((touch & ~closed) >> i).bit_count() + room[r] <= best_t):
             return
         bit = 1 << i
         shut = closed & bit
@@ -252,13 +330,25 @@ def _search(disjoint: tuple[int, ...], m: int, deadline: float | None, ceiling: 
             # avail lies inside disjoint[i], so any matching in it avoids edge i
             if shut and _closable(avail, m - 1, bit, disjoint, colors, color_masks):
                 continue
+            child_r, child_touch = r, touch
+            # r = m - 1 cannot grow: prune (a) or edge i's open bit rules that out
+            if r < m - 1:
+                grown = _rainbow_matching(avail, r, disjoint, colors, color_masks)
+                if grown is not None:
+                    child_r, child_touch = r + 1, ends[i]
+                    while grown:
+                        low = grown & -grown
+                        child_touch |= ends[low.bit_length() - 1]
+                        grown ^= low
             color_masks[c] |= bit
-            if assign(i + 1, t if c <= t else c,
-                      closed | _closable(avail, m - 2, recheck, disjoint, colors, color_masks)):
+            child_closed = closed
+            if child_r == m - 1:
+                child_closed |= _closable(avail, m - 2, recheck, disjoint, colors, color_masks)
+            if assign(i + 1, t if c <= t else c, child_closed, child_r, child_touch):
                 return True
             color_masks[c] &= ~bit
 
-    assign(0, 0, 0)
+    assign(0, 0, 0, 0, 0)
     return best_t, best_assignment, nodes
 
 
@@ -270,9 +360,14 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     rb = f + 1.  The search space is the set of restricted-growth strings
     over the edge list, so color permutations are never revisited.  A branch
     dies when its colored edges hold a rainbow m-matching, or when its colors
-    plus its uncolored edges that can still take a new color (no rainbow
-    (m-1)-matching among colored edges avoids them) cannot beat the best
-    count found.
+    plus a bound on its new colors cannot beat the best count found.  A new
+    color's first edge is uncolored and open (no rainbow (m-1)-matching among
+    colored edges avoids it), and with r the size of a largest rainbow
+    matching M among the colored edges, the first edges that miss M's
+    vertices have matching number at most s = m - 1 - r, so they are covered
+    by the s largest-degree vertices (bipartite G, or odd girth above
+    2s + 1) or the 2s largest: the bound is the open edges at M's vertices
+    plus the lesser of the other open edges and that cover's degree sum.
 
     One edge of each color of a rainbow-free coloring spans no m-matching, so
     f <= ext(G, m): on a bipartite graph the search stops at its first leaf
@@ -306,7 +401,7 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return RbResult(0, None, 0, elapsed_ms)
     ceiling = ext_exact(g, m).value if g.bipartition is not None else g.edge_count
-    best_t, best_assignment, nodes = _search(g.disjoint, m, deadline, ceiling)
+    best_t, best_assignment, nodes = _search(g, m, deadline, ceiling)
     assert best_assignment is not None and best_t >= 1  # monochromatic leaf always survives
     extremal = Coloring(best_assignment, best_t)
     if find_rainbow_matching(g, extremal, m) is not None:

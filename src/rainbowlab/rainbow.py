@@ -5,9 +5,10 @@ order.  Edge sets are int bitmasks in Graph's encoding (bit j is edge j + 1):
 Graph.disjoint[j] holds the edges sharing no vertex with edge j + 1, and one
 mask per color holds that color's edges.  Each exhausted subproblem is
 refuted once, and nodes are pruned by the color count and, on a bipartite
-graph, a side-color cover (_side_cover).  rb_exact's one search kernel
-(extremal._closable) walks the same bitmasks without these prunes or a
-witness, because it runs millions of times per search on few edges.
+graph, a side-color cover (_side_cover).  rb_exact's search kernels
+(extremal._closable and extremal._rainbow_matching) walk the same bitmasks
+without these prunes, because they run millions of times per search on few
+edges.
 _matching_number is the package's one matching-number routine, for
 max_matching_size and ext_exact's branch and bound.  The brute-force oracles
 the search is cross-checked against live with the tests, in tests/helpers.py.

@@ -8,7 +8,11 @@ second route to find_rainbow_matching's answer on small colored graphs, the
 enumeration of every canonical coloring (canonical_colorings), the second
 route to rb_exact's pruned search, the union over every rainbow matching of
 the edges it avoids (brute_closable), the second route to rb_exact's search
-kernel, the largest rainbow matching inside an edge bitmask
+kernel, the lexicographically first rainbow matching inside an edge bitmask
+(brute_first_rainbow_matching_in), the second route to the rainbow matching
+that prune (b) grows, the lexicographically first canonical coloring with
+the most colors and no rainbow m-matching (brute_extremal_coloring), the
+second route to rb_exact, the largest rainbow matching inside an edge bitmask
 (brute_max_rainbow_matching), the yardstick of find_rainbow_matching's side
 cover bound, and the scan of every (m-1)-vertex subset (brute_cover_ext), the
 second route to ext_exact's cover branch and bound.
@@ -112,6 +116,30 @@ def brute_closable(g: Graph, colors, avail: int, need: int, target: int) -> int:
             if not touched & set(g.edges[j - 1]):
                 closable |= 1 << (j - 1)
     return closable
+
+
+def brute_first_rainbow_matching_in(g: Graph, colors, avail: int, need: int) -> int | None:
+    """The lexicographically first rainbow matching of `need` edges of bitmask
+    `avail`, as a bitmask, or None, in Graph's encoding (bit j is edge j + 1)
+    with colors[j] the color of edge j + 1."""
+    edges = [i for i in range(1, g.edge_count + 1) if avail >> (i - 1) & 1]
+    for combo in combinations(edges, need):
+        if len({colors[i - 1] for i in combo}) == need and is_disjoint_edge_set(g, combo):
+            return sum(1 << (i - 1) for i in combo)
+    return None
+
+
+def brute_extremal_coloring(g: Graph, m: int) -> Coloring:
+    """The lexicographically first canonical coloring of g with the most colors
+    and no rainbow m-matching: canonical_colorings is lexicographic, so a
+    strict > keeps the first coloring with each new record count."""
+    best = None
+    for c in canonical_colorings(g.edge_count):
+        if best is not None and c.color_count <= best.color_count:
+            continue
+        if not brute_has_rainbow_matching(g, c, m):
+            best = c
+    return best
 
 
 def brute_max_rainbow_matching(g: Graph, colors, avail: int) -> int:

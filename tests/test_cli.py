@@ -536,6 +536,33 @@ def test_a_bipartite_family_with_an_odd_cycle_is_a_file_error_before_any_search(
         "odd cycle\n")
 
 
+# Graphs with the edge count of the path or cycle they claim and another shape:
+# a tree with a vertex of degree 3, a 2-edge path beside a triangle (the degrees
+# of a 5-edge path, but two components) and two disjoint 4-cycles.
+MISSHAPEN_GRAPHS = {
+    "tree": ("path n=7", 8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7)]),
+    "path_beside_a_triangle": ("path n=5", 6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+    "two_4_cycles": ("cycle n=8", 8,
+                     [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(MISSHAPEN_GRAPHS))
+@pytest.mark.parametrize("command", ["rb", "ext"])
+def test_a_misshapen_path_or_cycle_is_a_file_error_before_any_search(command, graph, tmp_path,
+                                                                     no_search, capsys):
+    label, vertex_count, edges = MISSHAPEN_GRAPHS[graph]
+    bad = tmp_path / f"{graph}.graph"
+    bad.write_text(f"# rainbowlab family={label}\ngraph {vertex_count} {len(edges)}\n"
+                   + "".join(f"{u} {v}\n" for u, v in edges), encoding="utf-8")
+    assert main([command, str(bad), "3"]) == EXIT_USAGE
+    family = label.split()[0]
+    degrees = "1, 1, 2, ..., 2" if family == "path" else "2, ..., 2"
+    assert capsys.readouterr().err == (
+        f"rainbowlab: error: {bad}: {family} graphs are connected with degrees {degrees}, "
+        "but this graph is not\n")
+
+
 def test_uncertified_construction_exits_4(monkeypatch, capsys):
     real = cli.extremal_coloring_path_tight
 

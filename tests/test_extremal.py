@@ -23,12 +23,14 @@ from rainbowlab import (
     rb_formula,
     verify_theorem,
 )
-from rainbowlab.extremal import _closable, _search
+from rainbowlab.extremal import _closable, _odd_girth, _rainbow_matching, _search
 from helpers import (
     brute_closable,
     canonical_colorings,
     brute_cover_ext,
     brute_ext,
+    brute_extremal_coloring,
+    brute_first_rainbow_matching_in,
     brute_has_rainbow_matching,
     brute_max_matching_size,
     is_disjoint_edge_set,
@@ -263,7 +265,7 @@ def test_rb_m1_special_case():
     assert result.extremal_coloring is None
 
 
-# P14 with m = 4 takes 3,616 nodes, fewer than TIMEOUT_CHECK_INTERVAL, so it
+# P14 with m = 4 takes 127 nodes, fewer than TIMEOUT_CHECK_INTERVAL, so it
 # shows whether the deadline is checked before the first interval ends.
 @pytest.mark.parametrize(
     ("g", "m"),
@@ -327,27 +329,32 @@ def test_rb_exact_matches_brute_force_enumeration(g):
         ), (g.edges, m)
 
 
-# The search tree and extremal coloring of nine cells, pinned: a faster
+# The search tree and extremal coloring of twelve cells, pinned: a faster
 # kernel must cut exactly this tree and return exactly this coloring.  The
-# first five have f < ext(G, m), so their search exhausts the tree.  On P12
-# and C12 f = ext(G, m) and the search stops at its first leaf with that many
-# colors (an exhaustive search visits 6,634, 6,663 and 1,493 nodes there).
-# C11 is not bipartite, so it gets no ceiling although f = ext(C11, 5) = 8.
+# P14, C13, m = 3, P16, C15 and P18 cells have f < ext(G, m), so their search
+# exhausts the tree; the rainbow matching bound of prune (b) cuts the path and
+# cycle cells to a few thousand nodes or fewer, and leaves the dense m = 3
+# trees as they were.  On P12 and C12 f = ext(G, m) and the search stops at
+# its first leaf with that many colors.  C11, C13 and C15 are not bipartite,
+# so they get no ceiling, although f = ext(C11, 5) = 8.
 @pytest.mark.parametrize(
     ("g", "m", "nodes", "coloring"),
     [
-        (make_path(14), 4, 3_616, "11111111112345"),
-        (make_cycle(13), 5, 21_057, "1111111234567"),
+        (make_path(14), 4, 127, "11111111112345"),
+        (make_cycle(13), 5, 3_698, "1111111234567"),
         (make_circulant_regular_bipartite(7, 3), 3, 245, "111111111111111111234"),
         (make_circulant_regular_bipartite(5, 4), 3, 1_849, "11111111111111112345"),
         (make_complete_bipartite(4), 3, 1_838, "1111111111112345"),
-        (make_path(12), 5, 4_046, "121343565787"),
-        (make_cycle(12), 5, 4_067, "121343565787"),
-        (make_path(12), 6, 861, "1213435678910"),
-        (make_cycle(11), 5, 2_329, "12134356578"),
+        (make_path(12), 5, 132, "121343565787"),
+        (make_cycle(12), 5, 1_022, "121343565787"),
+        (make_path(12), 6, 220, "1213435678910"),
+        (make_cycle(11), 5, 790, "12134356578"),
+        (make_path(16), 5, 382, "1111111111234567"),
+        (make_cycle(15), 5, 5_634, "111111111234567"),
+        (make_path(18), 6, 1_141, "111111111123456789"),
     ],
     ids=["P14_m4", "C13_m5", "circulant73_m3", "circulant54_m3", "K44_m3",
-         "P12_m5", "C12_m5", "P12_m6", "C11_m5"],
+         "P12_m5", "C12_m5", "P12_m6", "C11_m5", "P16_m5", "C15_m5", "P18_m6"],
 )
 def test_rb_search_tree_is_pinned(g, m, nodes, coloring):
     result = rb_exact(g, m, edge_budget=g.edge_count)
@@ -362,8 +369,8 @@ def test_the_ext_ceiling_changes_neither_f_nor_the_coloring(seed):
     g = random_bipartite(random.Random(seed), max_side=5)
     for m in range(2, max_matching_size(g) + 1):
         ceiling = ext_exact(g, m).value
-        stopped = _search(g.disjoint, m, None, ceiling)
-        exhausted = _search(g.disjoint, m, None, g.edge_count)
+        stopped = _search(g, m, None, ceiling)
+        exhausted = _search(g, m, None, g.edge_count)
         assert stopped[:2] == exhausted[:2], (g.edges, m)
         assert stopped[2] <= exhausted[2]
 
@@ -391,6 +398,67 @@ def test_closable_matches_the_union_over_every_rainbow_matching(case):
     for need in range(4):
         assert _closable(avail, need, target, g.disjoint, colors, color_masks) == (
             brute_closable(g, colors, avail, need, target)), (g.edges, colors, need)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closable_case())
+def test_rainbow_matching_is_the_first_one_inside_avail(case):
+    g, colors, avail, _ = case
+    color_masks = [0] * 5
+    for j, c in enumerate(colors):
+        color_masks[c] |= 1 << j
+    for need in range(4):
+        assert _rainbow_matching(avail, need, g.disjoint, colors, color_masks) == (
+            brute_first_rainbow_matching_in(g, colors, avail, need)), (g.edges, colors, need)
+
+
+def _union(*parts):
+    """The disjoint union of cycles ("C", n) and paths ("P", n) with n edges each."""
+    edges, base = [], 0
+    for kind, n in parts:
+        size = n if kind == "C" else n + 1
+        edges += [(base + j, base + (j + 1) % size) for j in range(n)]
+        base += size
+    return Graph(base, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    ("g", "girth"),
+    [(make_cycle(n), n if n % 2 else None) for n in range(3, 10)]
+    + [
+        (Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), 3),
+        (_union(("C", 3), ("C", 5)), 3),
+        (Graph(9, make_cycle(9).edges + ((0, 4),)), 5),
+        (make_path(6), None),
+        (make_complete_bipartite(3), None),
+        (make_circulant_regular_bipartite(5, 3), None),
+    ],
+    ids=[f"C{n}" for n in range(3, 10)] + ["K4", "C3+C5", "C9_chord", "P6", "K33", "circulant53"],
+)
+def test_odd_girth(g, girth):
+    assert _odd_girth(g) == girth
+
+
+# Prune (b) caps the edges that avoid the rainbow matching by the s largest
+# degrees when G is bipartite or its odd girth exceeds 2s + 1, and by the 2s
+# largest otherwise.  The triangle plus P6 takes the 2s branch at every s, C7
+# with m = 3 the s branch on a graph that is not bipartite, and C5 plus P5 and
+# C4 plus C5 (m = 4) the s branch at s = 1 and the 2s branch above.  C4 plus C5
+# fails if the s branch is taken at s = 2, where its odd girth is 5 = 2s + 1.
+@pytest.mark.parametrize(
+    ("g", "m"),
+    [
+        (_union(("C", 3), ("P", 6)), 4),
+        (_union(("C", 5), ("P", 5)), 4),
+        (make_cycle(7), 3),
+        (_union(("C", 4), ("C", 5)), 4),
+    ],
+    ids=["C3+P6_m4", "C5+P5_m4", "C7_m3", "C4+C5_m4"],
+)
+def test_both_caps_of_prune_b_match_brute_force(g, m):
+    best = brute_extremal_coloring(g, m)
+    result = rb_exact(g, m)
+    assert (result.f_value, result.extremal_coloring) == (best.color_count, best)
 
 
 def test_t25_holds_on_first_nontrivial_cells():
