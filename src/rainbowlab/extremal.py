@@ -4,15 +4,18 @@ ext_exact computes the largest edge count of a subgraph with no matching of
 size m.  rb_exact computes the rainbow number rb(G, m) = f(G, m) + 1, where
 f(G, m) is the largest number of colors in a surjective edge-coloring of G
 with no rainbow m-matching; the search enumerates canonical restricted-growth
-colorings with two prunes (a rainbow m-matching among the colored edges, and
-a bound on new colors), and returns the lexicographically smallest extremal
-coloring.  The bound counts the uncolored edges that can still open a new
-color (_closable), and caps those away from a largest rainbow matching
-already colored (_rainbow_matching) by the edges at a few largest-degree
-vertices: the paper's fact behind rb <= ext + 1 (one edge of each color
-spans no m-matching) applied at every node.  On a bipartite graph the search
-also stops at its first leaf with ext(G, m) colors, since no rainbow-free
-coloring has more.
+colorings with three prunes (a rainbow m-matching among the colored edges,
+and two bounds on new colors), and returns the lexicographically smallest
+extremal coloring.  The first bound counts the uncolored edges that can
+still open a new color (_closable), and caps those away from a largest
+rainbow matching already colored (_rainbow_matching) by the edges at a few
+largest-degree vertices: the paper's fact behind rb <= ext + 1 (one edge of
+each color spans no m-matching) applied at every node.  The second is its
+pairwise form: two disjoint uncolored edges that a colored rainbow
+(m-2)-matching misses cannot both open a color (_conflicts), so the new
+colors are at most the most open edges with no such pair among them
+(_conflict_free).  On a bipartite graph the search also stops at its first
+leaf with ext(G, m) colors, since no rainbow-free coloring has more.
 
 Three entry points evaluate the closed forms: ext_formula_regular (ext on
 k-regular bipartite graphs), rb_bounds (bounds on rb for k-regular families,
@@ -195,6 +198,39 @@ def _closable(avail: int, need: int, target: int, disjoint: tuple[int, ...], col
     return found
 
 
+def _conflicts(j: int, pool: int, size: int, target: int, disjoint: tuple[int, ...],
+               colors: list[int], color_masks: list[int]) -> int:
+    """The edges of bitmask `target` that conflict with edge j: those disjoint
+    from it that, with it, some rainbow matching of `size` edges inside bitmask
+    `pool` (colored edges) avoids.  Such a matching avoids edge j exactly when
+    it lies among the pool edges disjoint from j."""
+    return _closable(pool & disjoint[j], size, target & disjoint[j], disjoint, colors, color_masks)
+
+
+def _conflict_free(cands: int, need: int, conflicts: dict[int, int], target: int, pool: int,
+                   size: int, disjoint: tuple[int, ...], colors: list[int],
+                   color_masks: list[int]) -> bool:
+    """Whether `need` edges of bitmask `cands` exist, no two of which conflict
+    (_conflicts with `pool` and `size`).  The lowest candidate is taken, then
+    dropped; a branch with fewer candidates than it needs dies.  conflicts[j]
+    caches the edges of `target` above j that conflict with j, made when the
+    test first takes j, so `target` must hold every candidate."""
+    if need <= 0:
+        return True
+    while cands.bit_count() >= need:
+        low = cands & -cands
+        j = low.bit_length() - 1
+        cands ^= low
+        clash = conflicts.get(j)
+        if clash is None:
+            clash = conflicts[j] = _conflicts(j, pool, size, target & -(low << 1), disjoint,
+                                              colors, color_masks)
+        if _conflict_free(cands & ~clash, need - 1, conflicts, target, pool, size, disjoint,
+                          colors, color_masks):
+            return True
+    return False
+
+
 def _rainbow_matching(avail: int, need: int, disjoint: tuple[int, ...], colors: list[int],
                       color_masks: list[int]) -> int | None:
     """One rainbow matching of `need` edges inside bitmask `avail`, as a
@@ -249,9 +285,10 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
 
     `ceiling` is an upper bound on that count.  The search returns at the
     first leaf that reaches it and otherwise exhausts the tree.  Leaves are
-    visited in lexicographic order and prune (b) cuts only subtrees that
-    cannot beat the best count, so that first leaf is the one an exhaustive
-    search keeps: the count and the assignment do not depend on the ceiling.
+    visited in lexicographic order and prunes (b) and (c) cut only subtrees
+    that cannot beat the best count, so that first leaf is the one an
+    exhaustive search keeps: the count and the assignment do not depend on
+    the ceiling.
 
     An uncolored edge j is closed when some rainbow (m-1)-matching among the
     colored edges avoids j: a new color on j would complete a rainbow
@@ -268,13 +305,15 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     matching for any c, so only a closed edge searches, once per reused color.
 
     Prune (b): each node carries r, the size of a largest rainbow matching M
-    among the colored edges, and `touch`, the edges at M's 2r vertices.
-    Coloring edge i can raise r only by one, through a matching that uses
-    edge i, so a child looks for a rainbow r-matching among the colored edges
-    disjoint from edge i and not of its color (_rainbow_matching); when there
-    is one, it plus edge i is the child's M.  A leaf below the node with T > t
-    colors gives each new color a first edge.  Those T - t edges are open now,
-    since a closed edge never takes a new color and closed edges stay closed.
+    among the colored edges, M's edge mask `held`, and `touch`, the edges at
+    M's 2r vertices.  Coloring edge i can raise r only by one, through a
+    matching that uses edge i, so a child needs a rainbow r-matching among
+    the colored edges disjoint from edge i and not of its color: M itself
+    when it lies there, else the first one _rainbow_matching finds.  When
+    there is one, it plus edge i is the child's M.  A leaf below the node
+    with T > t colors gives each new color a first edge.  Those T - t edges
+    are open now, since a closed edge never takes a new color and closed
+    edges stay closed.
     A matching among those that miss touch, joined to M, is a rainbow matching
     of the leaf (M's colors are old and distinct, theirs new and distinct);
     the leaf is rainbow-free, so their matching number is at most
@@ -286,6 +325,19 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     T <= t + |open & touch| + min(|open - touch|, cap[s]), and a node whose
     bound is at most the best count found is cut.  The bound is never weaker
     than t + |open|, which is tested first as it is cheaper.
+
+    Prune (c): two open edges f and f' conflict when they are disjoint and
+    some rainbow (m-2)-matching N among the colored edges misses both
+    (_conflicts).  The first edges of the T - t new colors of a leaf below
+    the node are open now, as in prune (b), and no two of them conflict: N
+    plus the pair would be a rainbow m-matching of the leaf, since N's colors
+    are old and distinct and the pair's are new and distinct.  So T - t is at
+    most the largest conflict-free set of open edges, and a node is cut when
+    no best - t + 1 open edges are pairwise conflict-free (_conflict_free,
+    which makes each edge's conflicts when it first reaches that edge).  Like
+    prune (b) it cuts only subtrees that cannot beat the best count.  No
+    pair can conflict while r < m - 2, so the test runs from r = m - 2 on,
+    and only for m >= 4, where it pays for itself (see the comment there).
     """
     disjoint, incidence = g.disjoint, g.incidence
     edge_count = len(disjoint)
@@ -296,13 +348,14 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     # room[r] = cap[s] for s = m - 1 - r
     room = [sum(degrees[:s if girth is None or girth > 2 * s + 1 else 2 * s])
             for s in range(m - 1, -1, -1)]
+    every = (1 << edge_count) - 1
     colors = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
     best_t = 0
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
 
-    def assign(i: int, t: int, closed: int, r: int, touch: int):
+    def assign(i: int, t: int, closed: int, r: int, held: int, touch: int):
         nonlocal best_t, best_assignment, nodes
         nodes += 1
         # checked at the first node too, so small searches honour the deadline
@@ -319,6 +372,15 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
                 or t + ((touch & ~closed) >> i).bit_count() + room[r] <= best_t):
             return
         bit = 1 << i
+        # prune (c).  At m = 3 a conflict needs one colored edge, and the test
+        # costs more than it cuts: it took the benchmark sweep's m = 3 cells
+        # from 4,729 to 3,767 nodes (seed 1) but made K_{5,5} and
+        # circulant(7,5) with m = 3 14% and 35% slower (medians of 21 runs).
+        if m >= 4 and r >= m - 2:
+            opened = every & ~closed & -bit
+            if not _conflict_free(opened, best_t - t + 1, {}, opened, bit - 1, m - 2, disjoint,
+                                  colors, color_masks):
+                return
         shut = closed & bit
         # open uncolored edges disjoint from edge i
         recheck = disjoint[i] & ~closed & -(bit << 1)
@@ -330,25 +392,29 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
             # avail lies inside disjoint[i], so any matching in it avoids edge i
             if shut and _closable(avail, m - 1, bit, disjoint, colors, color_masks):
                 continue
-            child_r, child_touch = r, touch
+            child_r, child_held, child_touch = r, held, touch
             # r = m - 1 cannot grow: prune (a) or edge i's open bit rules that out
             if r < m - 1:
-                grown = _rainbow_matching(avail, r, disjoint, colors, color_masks)
-                if grown is not None:
-                    child_r, child_touch = r + 1, ends[i]
-                    while grown:
-                        low = grown & -grown
-                        child_touch |= ends[low.bit_length() - 1]
-                        grown ^= low
+                if not held & ~avail:
+                    # M lies in the pool, so M plus edge i is rainbow
+                    child_r, child_held, child_touch = r + 1, held | bit, touch | ends[i]
+                else:
+                    grown = _rainbow_matching(avail, r, disjoint, colors, color_masks)
+                    if grown is not None:
+                        child_r, child_held, child_touch = r + 1, grown | bit, ends[i]
+                        while grown:
+                            low = grown & -grown
+                            child_touch |= ends[low.bit_length() - 1]
+                            grown ^= low
             color_masks[c] |= bit
             child_closed = closed
             if child_r == m - 1:
                 child_closed |= _closable(avail, m - 2, recheck, disjoint, colors, color_masks)
-            if assign(i + 1, t if c <= t else c, child_closed, child_r, child_touch):
+            if assign(i + 1, t if c <= t else c, child_closed, child_r, child_held, child_touch):
                 return True
             color_masks[c] &= ~bit
 
-    assign(0, 0, 0, 0, 0)
+    assign(0, 0, 0, 0, 0, 0)
     return best_t, best_assignment, nodes
 
 
@@ -368,6 +434,9 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     by the s largest-degree vertices (bipartite G, or odd girth above
     2s + 1) or the 2s largest: the bound is the open edges at M's vertices
     plus the lesser of the other open edges and that cover's degree sum.
+    For m >= 4 a second bound takes pairs: no two first edges of new colors
+    are disjoint and missed by one colored rainbow (m-2)-matching, so the
+    new colors are at most the most open edges without such a pair.
 
     One edge of each color of a rainbow-free coloring spans no m-matching, so
     f <= ext(G, m): on a bipartite graph the search stops at its first leaf

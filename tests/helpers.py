@@ -118,6 +118,25 @@ def brute_closable(g: Graph, colors, avail: int, need: int, target: int) -> int:
     return closable
 
 
+def brute_conflicts(g: Graph, colors, pool: int, size: int, j: int, target: int) -> int:
+    """The edges of bitmask `target` disjoint from edge j + 1 that, with it,
+    some rainbow matching of `size` edges of bitmask `pool` avoids, in Graph's
+    encoding (bit j is edge j + 1) with colors[j] the color of edge j + 1:
+    every size-subset of pool that is a rainbow matching, and the union of the
+    target edges that it, edge j + 1 and the target edge leave vertex-disjoint."""
+    def edges_of(mask):
+        return [i for i in range(1, g.edge_count + 1) if mask >> (i - 1) & 1]
+
+    conflicts = 0
+    for combo in combinations(edges_of(pool), size):
+        if len({colors[i - 1] for i in combo}) < size:
+            continue
+        for k in edges_of(target):
+            if k != j + 1 and is_disjoint_edge_set(g, combo + (j + 1, k)):
+                conflicts |= 1 << (k - 1)
+    return conflicts
+
+
 def brute_first_rainbow_matching_in(g: Graph, colors, avail: int, need: int) -> int | None:
     """The lexicographically first rainbow matching of `need` edges of bitmask
     `avail`, as a bitmask, or None, in Graph's encoding (bit j is edge j + 1)

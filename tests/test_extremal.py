@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,9 +24,17 @@ from rainbowlab import (
     rb_formula,
     verify_theorem,
 )
-from rainbowlab.extremal import _closable, _odd_girth, _rainbow_matching, _search
+from rainbowlab.extremal import (
+    _closable,
+    _conflict_free,
+    _conflicts,
+    _odd_girth,
+    _rainbow_matching,
+    _search,
+)
 from helpers import (
     brute_closable,
+    brute_conflicts,
     canonical_colorings,
     brute_cover_ext,
     brute_ext,
@@ -329,32 +338,37 @@ def test_rb_exact_matches_brute_force_enumeration(g):
         ), (g.edges, m)
 
 
-# The search tree and extremal coloring of twelve cells, pinned: a faster
+# The search tree and extremal coloring of fifteen cells, pinned: a faster
 # kernel must cut exactly this tree and return exactly this coloring.  The
-# P14, C13, m = 3, P16, C15 and P18 cells have f < ext(G, m), so their search
-# exhausts the tree; the rainbow matching bound of prune (b) cuts the path and
-# cycle cells to a few thousand nodes or fewer, and leaves the dense m = 3
-# trees as they were.  On P12 and C12 f = ext(G, m) and the search stops at
-# its first leaf with that many colors.  C11, C13 and C15 are not bipartite,
-# so they get no ceiling, although f = ext(C11, 5) = 8.
+# P14, C13, m = 3, P16, C15, P18 and C17 cells have f < ext(G, m), so their
+# search exhausts the tree; the rainbow matching bound of prune (b) cuts the
+# path and cycle cells to a few thousand nodes or fewer, prune (c) cuts the
+# cycles with m >= 5 and the m = 4 circulants further, and the dense m = 3
+# trees are as they were.  On P12 and C12 f = ext(G, m) and the search stops
+# at its first leaf with that many colors.  C11, C13, C15 and C17 are not
+# bipartite, so they get no ceiling, although f = ext(C11, 5) = 8.
 @pytest.mark.parametrize(
     ("g", "m", "nodes", "coloring"),
     [
         (make_path(14), 4, 127, "11111111112345"),
-        (make_cycle(13), 5, 3_698, "1111111234567"),
+        (make_cycle(13), 5, 796, "1111111234567"),
         (make_circulant_regular_bipartite(7, 3), 3, 245, "111111111111111111234"),
         (make_circulant_regular_bipartite(5, 4), 3, 1_849, "11111111111111112345"),
         (make_complete_bipartite(4), 3, 1_838, "1111111111112345"),
         (make_path(12), 5, 132, "121343565787"),
-        (make_cycle(12), 5, 1_022, "121343565787"),
+        (make_cycle(12), 5, 266, "121343565787"),
         (make_path(12), 6, 220, "1213435678910"),
-        (make_cycle(11), 5, 790, "12134356578"),
+        (make_cycle(11), 5, 259, "12134356578"),
         (make_path(16), 5, 382, "1111111111234567"),
-        (make_cycle(15), 5, 5_634, "111111111234567"),
+        (make_cycle(15), 5, 934, "111111111234567"),
         (make_path(18), 6, 1_141, "111111111123456789"),
+        (make_circulant_regular_bipartite(8, 3), 4, 900, "111111111111111111234567"),
+        (make_circulant_regular_bipartite(10, 3), 4, 912, "111111111111111111111111234567"),
+        (make_cycle(17), 6, 6_652, "11111111123456789"),
     ],
     ids=["P14_m4", "C13_m5", "circulant73_m3", "circulant54_m3", "K44_m3",
-         "P12_m5", "C12_m5", "P12_m6", "C11_m5", "P16_m5", "C15_m5", "P18_m6"],
+         "P12_m5", "C12_m5", "P12_m6", "C11_m5", "P16_m5", "C15_m5", "P18_m6",
+         "circulant83_m4", "circulant103_m4", "C17_m6"],
 )
 def test_rb_search_tree_is_pinned(g, m, nodes, coloring):
     result = rb_exact(g, m, edge_budget=g.edge_count)
@@ -412,6 +426,39 @@ def test_rainbow_matching_is_the_first_one_inside_avail(case):
             brute_first_rainbow_matching_in(g, colors, avail, need)), (g.edges, colors, need)
 
 
+@settings(max_examples=300, deadline=None)
+@given(closable_case())
+def test_conflicts_match_every_rainbow_matching(case):
+    g, colors, pool, target = case
+    color_masks = [0] * 5
+    for j, c in enumerate(colors):
+        color_masks[c] |= 1 << j
+    for size in range(3):
+        for j in range(g.edge_count):
+            assert _conflicts(j, pool, size, target, g.disjoint, colors, color_masks) == (
+                brute_conflicts(g, colors, pool, size, j, target)), (g.edges, colors, size, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closable_case(), st.integers(0, 2**10 - 1))
+def test_conflict_free_matches_brute_force_over_subsets(case, keep):
+    # the candidates are a subset of the target, as in the search's recursion
+    g, colors, pool, target = case
+    cands = target & keep
+    color_masks = [0] * 5
+    for j, c in enumerate(colors):
+        color_masks[c] |= 1 << j
+    edges = [j for j in range(g.edge_count) if cands >> j & 1]
+    for size in range(3):
+        clash = {j: brute_conflicts(g, colors, pool, size, j, target) for j in edges}
+        largest = max(len(subset) for k in range(len(edges) + 1)
+                      for subset in combinations(edges, k)
+                      if not any(clash[a] >> b & 1 for a, b in combinations(subset, 2)))
+        for need in range(len(edges) + 2):
+            assert _conflict_free(cands, need, {}, target, pool, size, g.disjoint, colors,
+                                  color_masks) == (need <= largest), (g.edges, colors, size, need)
+
+
 def _union(*parts):
     """The disjoint union of cycles ("C", n) and paths ("P", n) with n edges each."""
     edges, base = [], 0
@@ -459,6 +506,20 @@ def test_both_caps_of_prune_b_match_brute_force(g, m):
     best = brute_extremal_coloring(g, m)
     result = rb_exact(g, m)
     assert (result.f_value, result.extremal_coloring) == (best.color_count, best)
+
+
+# Prune (c) cuts C8 and C9 with m = 4 (86 and 191 nodes without it, 62 and
+# 77 with it); on P8 and two 4-cycles with m = 4 it never cuts.
+@pytest.mark.parametrize(
+    ("g", "m", "nodes"),
+    [(make_cycle(8), 4, 62), (make_cycle(9), 4, 77)],
+    ids=["C8_m4", "C9_m4"],
+)
+def test_prune_c_matches_brute_force(g, m, nodes):
+    best = brute_extremal_coloring(g, m)
+    result = rb_exact(g, m)
+    assert (result.f_value, result.extremal_coloring) == (best.color_count, best)
+    assert result.colorings_examined == nodes
 
 
 def test_t25_holds_on_first_nontrivial_cells():
