@@ -1,7 +1,9 @@
 """Exact anti-Ramsey style computations and closed-form evaluators.
 
 ext_exact computes the largest edge count of a subgraph with no matching of
-size m.  rb_exact computes the rainbow number rb(G, m) = f(G, m) + 1, where
+size m: the most edges that m-1 vertices touch (Koenig) when G has no odd
+cycle of length 2m-1 or less, a search over edge subsets otherwise.
+rb_exact computes the rainbow number rb(G, m) = f(G, m) + 1, where
 f(G, m) is the largest number of colors in a surjective edge-coloring of G
 with no rainbow m-matching; the search enumerates canonical restricted-growth
 colorings with three prunes (a rainbow m-matching among the colored edges,
@@ -88,10 +90,12 @@ class RbResult:
 def ext_exact(g: Graph, m: int) -> ExtResult:
     """Maximum number of edges of a subgraph of g with no matching of size m.
 
-    Bipartite graphs are solved through the cover identity (Koenig): an edge
-    set has no m-matching exactly when some m-1 vertices cover it, so the
-    answer is the most edges that m-1 vertices touch.  A depth-first branch
-    and bound picks the vertices in increasing order, keeping the incident
+    Graphs with no odd cycle of length 2m-1 or less, bipartite ones included,
+    are solved through the cover identity (Koenig): an edge set has no
+    m-matching exactly when some m-1 vertices cover it, so the answer is the
+    most edges that m-1 vertices touch.  Koenig needs the edge set to be
+    bipartite, which an m-matching-free one then is (_koenig).  A depth-first
+    branch and bound picks the vertices in increasing order, keeping the incident
     edges of the picked ones as a bitmask; a node with j picks left among
     vertices v and above is cut when its covered edges plus j times the
     largest degree among those vertices cannot beat the best count.  Only a
@@ -101,15 +105,18 @@ def ext_exact(g: Graph, m: int) -> ExtResult:
     `witness_edges` its incident edges; with m-1 >= |V| the cover is every
     vertex, and with m = 1 it is empty.
 
-    Non-bipartite graphs fall back to branch and bound over edge subsets,
-    testing each inclusion with the memoised exact matching number, and are
-    refused above NONBIPARTITE_EXT_MAX_EDGES edges; their `cover` is None.
+    Graphs with an odd cycle of length 2m-1 or less fall back to branch and
+    bound over edge subsets, testing each inclusion with the memoised exact
+    matching number, and are refused above NONBIPARTITE_EXT_MAX_EDGES edges;
+    their `cover` is None.  The cover would undercount there: on C5 with
+    m = 3 the whole cycle has no 3-matching, but two vertices touch only 4
+    of its 5 edges.
     """
     if m < 1:
         raise ValueError(f"matching size must be at least 1, got m={m} (m=0 is vacuous)")
     if m == 1:
         return ExtResult(0, frozenset(), frozenset())
-    if g.bipartition is not None:
+    if _koenig(_odd_girth(g), m - 1):
         value, mask, cover = _ext_cover_based(g, m)
     elif g.edge_count > NONBIPARTITE_EXT_MAX_EDGES:
         raise BudgetExceededError(
@@ -277,6 +284,15 @@ def _odd_girth(g: Graph) -> int | None:
     return min(lengths)
 
 
+def _koenig(girth: int | None, s: int) -> bool:
+    """Whether, in a graph of odd girth `girth` (None when it is bipartite),
+    every edge set of matching number at most s is covered by s vertices.
+    An odd cycle of length 2j + 1 holds a j-matching, so such an edge set
+    has no odd cycle when the graph has none of length 2s + 1 or less; it
+    is then bipartite, and Koenig's theorem gives the cover."""
+    return girth is None or girth > 2 * s + 1
+
+
 def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     """Search the canonical colorings of g's edges in lexicographic order;
     return the best rainbow-free color count, its lexicographically smallest
@@ -319,8 +335,8 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     the leaf is rainbow-free, so their matching number is at most
     s = m - 1 - r.  An edge set of matching number at most s is covered by the
     at most 2s ends of a maximal matching, and by s vertices when it is
-    bipartite (Koenig).  It is bipartite when G is, or when G's odd girth
-    exceeds 2s + 1, since an odd cycle of length 2j + 1 holds a j-matching.
+    bipartite (Koenig), which it is when G is bipartite or its odd girth
+    exceeds 2s + 1 (_koenig).
     So, with cap[s] the sum of the s (or 2s) largest degrees of G,
     T <= t + |open & touch| + min(|open - touch|, cap[s]), and a node whose
     bound is at most the best count found is cut.  The bound is never weaker
@@ -346,7 +362,7 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     degrees = sorted(g.degrees(), reverse=True)
     girth = _odd_girth(g)
     # room[r] = cap[s] for s = m - 1 - r
-    room = [sum(degrees[:s if girth is None or girth > 2 * s + 1 else 2 * s])
+    room = [sum(degrees[:s if _koenig(girth, s) else 2 * s])
             for s in range(m - 1, -1, -1)]
     every = (1 << edge_count) - 1
     colors = [0] * edge_count
@@ -442,10 +458,11 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     f <= ext(G, m): on a bipartite graph the search stops at its first leaf
     with ext(G, m) colors, and `colorings_examined` counts the nodes up to
     there.  Other graphs get the edge count as ceiling, which m <= nu keeps
-    out of reach, since their ext_exact is the search over edge subsets and
-    costs more than it saves (C13, m = 5: f = 7 < ext = 8).  Graphs with more
-    than edge_budget edges are refused outright rather than approximated;
-    raise the budget explicitly to accept the runtime risk.
+    out of reach.  Giving graphs of odd girth above 2m - 1 the ext ceiling
+    too saved only 117 of the benchmark sweep's 14,383 nodes (seed 1) and
+    none of the ladder's, at one more ext_exact call per such cell.  Graphs
+    with more than edge_budget edges are refused outright rather than
+    approximated; raise the budget explicitly to accept the runtime risk.
     """
     if m < 1:
         raise ValueError(f"matching size must be positive, got {m}")

@@ -206,9 +206,10 @@ def brute_ext(g: Graph, m: int) -> int:
 
 
 def brute_cover_ext(g: Graph, m: int) -> tuple[int, frozenset[int]]:
-    """ext(g, m) of a bipartite graph by the cover identity, scanning every
-    (m-1)-vertex subset in order: the most edges some m-1 vertices touch,
-    and the edges of the first subset that touches that many."""
+    """ext(g, m) by the cover identity, which holds on a bipartite graph or
+    one of odd girth above 2m - 1, scanning every (m-1)-vertex subset in
+    order: the most edges some m-1 vertices touch, and the edges of the
+    first subset that touches that many."""
     cover_size = min(m - 1, g.vertex_count)
     best_value = -1
     best_edges: frozenset[int] = frozenset()

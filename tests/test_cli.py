@@ -185,10 +185,14 @@ def test_ext_json_reports_the_cover(tmp_path, capsys):
     assert (record["value"], record["method"]) == (4, "cover_based")
     assert record["witness_edges"] == [1, 2, 3, 4]
     assert record["cover"] == [1, 3]
-    # the odd cycle takes the branch-and-bound route, which has no cover
+    # C5 has a 5-cycle, 2m - 1 long at m = 3: the branch-and-bound route, which has no cover
+    assert main(["ext", cycle, "3", "--format", "json"]) == EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)
+    assert (record["method"], record["cover"], record["value"]) == ("branch_and_bound", None, 5)
+    # at m = 2 its odd girth exceeds 2m - 1, so the cover route answers
     assert main(["ext", cycle, "2", "--format", "json"]) == EXIT_OK
     [record] = json.loads(capsys.readouterr().out)
-    assert (record["method"], record["cover"]) == ("branch_and_bound", None)
+    assert (record["method"], record["cover"]) == ("cover_based", [0])
 
 
 def test_rb_honours_its_budget_and_timeout(tmp_path, capsys):

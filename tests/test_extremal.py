@@ -3,7 +3,7 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rainbowlab import (
     DISPUTED_FORMULA_CELLS,
@@ -28,6 +28,7 @@ from rainbowlab.extremal import (
     _closable,
     _conflict_free,
     _conflicts,
+    _ext_branch_and_bound,
     _odd_girth,
     _rainbow_matching,
     _search,
@@ -84,10 +85,11 @@ def test_ext_witness_invariants():
 
 
 def test_ext_odd_cycle_uses_branch_and_bound():
+    # odd girth 5 = 2m - 1: the whole cycle has no 3-matching
     g = make_cycle(5)
-    result = ext_exact(g, 2)
+    result = ext_exact(g, 3)
     assert result.cover is None
-    assert result.value == brute_ext(g, 2)
+    assert result.value == brute_ext(g, 3) == 5
 
 
 def test_ext_odd_cycles_match_brute_force():
@@ -109,9 +111,9 @@ def test_ext_graph_built_without_sides_uses_cover_route():
 def test_ext_rejects_m_zero_and_big_non_bipartite():
     with pytest.raises(ValueError):
         ext_exact(make_path(3), 0)
-    big = make_cycle(19)
+    big = make_cycle(19)  # odd girth 19 = 2m - 1, so only branch and bound could answer
     with pytest.raises(BudgetExceededError):
-        ext_exact(big, 2)
+        ext_exact(big, 10)
 
 
 def test_ext_formula_values():
@@ -160,7 +162,7 @@ def test_ext_cover_at_the_ends_of_the_m_range():
     for m in (5, 6):  # m-1 >= |V|: every vertex, every edge
         result = ext_exact(g, m)
         assert (result.value, result.cover) == (3, frozenset(range(4)))
-    assert ext_exact(make_cycle(5), 2).cover is None
+    assert ext_exact(make_cycle(5), 3).cover is None
 
 
 @st.composite
@@ -189,6 +191,62 @@ def test_ext_cover_route_matches_the_scan_of_every_subset(g):
         assert result.cover is not None
         # the certificate: at most m-1 vertices whose edges are the witness
         assert len(result.cover) <= m - 1
+        assert result.witness_edges == frozenset(
+            i for i, (u, v) in enumerate(g.edges, start=1)
+            if u in result.cover or v in result.cover)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_ext_odd_cycle_at_odd_girth_2m_minus_1_takes_every_edge(n):
+    # m = (n + 1) / 2: the cycle itself has no m-matching, but m - 1 vertices
+    # touch only n - 1 of its edges, so the cover route would be one short
+    g, m = make_cycle(n), (n + 1) // 2
+    result = ext_exact(g, m)
+    assert (result.value, result.cover) == (n, None)
+    assert brute_cover_ext(g, m)[0] == n - 1
+
+
+def test_ext_long_odd_cycle_takes_the_cover_route():
+    g = make_cycle(17)
+    result = ext_exact(g, 5)
+    assert (result.value, result.cover) == (8, frozenset({0, 2, 4, 6}))
+    assert result.witness_edges == frozenset(
+        i for i, (u, v) in enumerate(g.edges, start=1) if u in result.cover or v in result.cover)
+
+
+@st.composite
+def long_odd_girth_graph(draw):
+    """A graph with an odd cycle of length 7 to 13, relabelled at random: the
+    cycle, pendant trees hung from it, and up to two more edges, kept only
+    when the odd girth stays at 5 or more so that some m >= 2 has odd girth
+    above 2m - 1.  At most 16 edges, for the search over edge subsets."""
+    length = draw(st.sampled_from((7, 9, 11, 13)))
+    edges = [(j, (j + 1) % length) for j in range(length)]
+    vertex_count = length
+    for _ in range(draw(st.integers(0, 16 - length))):
+        edges.append((draw(st.integers(0, vertex_count - 1)), vertex_count))
+        vertex_count += 1
+    for _ in range(draw(st.integers(0, min(2, 16 - len(edges))))):
+        u, v = draw(st.lists(st.integers(0, vertex_count - 1), min_size=2, max_size=2,
+                             unique=True))
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    label = draw(st.permutations(range(vertex_count)))
+    g = Graph(vertex_count, tuple((label[u], label[v]) for u, v in edges))
+    assume(_odd_girth(g) >= 5)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_odd_girth_graph())
+def test_ext_cover_route_on_long_odd_girth_matches_the_edge_subset_search(g):
+    girth = _odd_girth(g)
+    for m in range(2, (girth + 1) // 2):  # odd girth above 2m - 1
+        result = ext_exact(g, m)
+        assert result.value == _ext_branch_and_bound(g, m)[0], (g.edges, m)
+        assert result.witness_edges == brute_cover_ext(g, m)[1], (g.edges, m)
+        # the certificate: at most m-1 vertices whose edges are the witness
+        assert result.cover is not None and len(result.cover) <= m - 1
         assert result.witness_edges == frozenset(
             i for i, (u, v) in enumerate(g.edges, start=1)
             if u in result.cover or v in result.cover)
