@@ -17,7 +17,11 @@ pairwise form: two disjoint uncolored edges that a colored rainbow
 (m-2)-matching misses cannot both open a color (_conflicts), so the new
 colors are at most the most open edges with no such pair among them
 (_conflict_free).  On a bipartite graph the search also stops at its first
-leaf with ext(G, m) colors, since no rainbow-free coloring has more.
+leaf with ext(G, m) colors, since no rainbow-free coloring has more.  The
+one search routine (_search) runs in two phases.  The first finds f by
+racing the given edge order against a greedy-matching order under doubling
+node caps; the second takes the lexicographically smallest extremal coloring
+from one given-order search that starts from f - 1.
 
 Three entry points evaluate the closed forms: ext_formula_regular (ext on
 k-regular bipartite graphs), rb_bounds (bounds on rb for k-regular families,
@@ -29,9 +33,8 @@ and names the violated constraint on rejection.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .colorings import Coloring
 from .errors import BudgetExceededError
@@ -53,6 +56,8 @@ __all__ = [
 DEFAULT_EDGE_BUDGET = 16
 NONBIPARTITE_EXT_MAX_EDGES = 18
 TIMEOUT_CHECK_INTERVAL = 4096
+# the node cap of rb_exact's first two attempts; later pairs double it
+_FIRST_NODE_CAP = 1024
 
 # The (family, n, m) cells where rb_formula is known to disagree with the
 # exhaustive oracle.  The one known cell: on the 4-cycle with m = 2, coloring
@@ -74,6 +79,11 @@ class ExtResult:
 
 @dataclass(frozen=True)
 class RbResult:
+    """rb_exact's answer: f, the most colors of a coloring with no rainbow
+    m-matching; the lexicographically smallest such coloring with f colors
+    (None when m = 1); the search nodes of every attempt of rb_exact's two
+    phases; and the wall time of the call."""
+
     f_value: int
     extremal_coloring: Coloring | None
     colorings_examined: int
@@ -270,18 +280,23 @@ def _odd_girth(g: Graph) -> int | None:
     for u, v in g.edges:
         neighbours[u].append(v)
         neighbours[v].append(u)
-    lengths = []
+    girth = g.vertex_count + 1  # longer than any cycle
     for root in range(g.vertex_count):
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in neighbours[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        lengths += (2 * dist[u] + 1 for u, v in g.edges if u in dist and dist[u] == dist[v])
-    return min(lengths)
+        dist = [-1] * g.vertex_count
+        dist[root] = 0
+        level, d = [root], 0
+        # a level d with 2d + 1 >= girth can close no shorter odd walk
+        while level and 2 * d + 1 < girth:
+            following = []
+            for u in level:
+                for w in neighbours[u]:
+                    if dist[w] < 0:
+                        dist[w] = d + 1
+                        following.append(w)
+                    elif dist[w] == d:
+                        girth = 2 * d + 1
+            level, d = following, d + 1
+    return girth
 
 
 def _koenig(girth: int | None, s: int) -> bool:
@@ -293,7 +308,12 @@ def _koenig(girth: int | None, s: int) -> bool:
     return girth is None or girth > 2 * s + 1
 
 
-def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
+class _NodeCapReached(Exception):
+    """Raised by _search at its node cap; args[0] is the best count it had found."""
+
+
+def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 0,
+            cap: int | None = None):
     """Search the canonical colorings of g's edges in lexicographic order;
     return the best rainbow-free color count, its lexicographically smallest
     assignment, and the number of search nodes visited.  Edges are colored in
@@ -305,6 +325,14 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     that cannot beat the best count, so that first leaf is the one an
     exhaustive search keeps: the count and the assignment do not depend on
     the ceiling.
+
+    `best` is a count the search starts from and must beat: the count of a
+    coloring known to exist, so cutting what cannot beat it loses nothing.
+    When no leaf beats it the assignment is None and the count is `best`.
+    With `best` = f - 1 and `ceiling` = f for the largest count f, the search
+    stops at the first leaf with f colors, the assignment an exhaustive search
+    keeps.  The search raises _NodeCapReached, carrying its best count, at
+    its `cap`-th node; with cap None it has no node cap.
 
     An uncolored edge j is closed when some rainbow (m-1)-matching among the
     colored edges avoids j: a new color on j would complete a rainbow
@@ -367,7 +395,7 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     every = (1 << edge_count) - 1
     colors = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
-    best_t = 0
+    best_t = best
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
 
@@ -378,6 +406,8 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
         if deadline is not None and nodes % TIMEOUT_CHECK_INTERVAL == 1:
             if time.monotonic() >= deadline:
                 raise BudgetExceededError("rainbow-number search exceeded its time budget")
+        if nodes == cap:
+            raise _NodeCapReached(best_t)
         if i == edge_count:
             if t > best_t:
                 best_t = t
@@ -434,6 +464,24 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int):
     return best_t, best_assignment, nodes
 
 
+def _greedy_order(g: Graph) -> list[int]:
+    """g's edge indices peeled into greedy maximal matchings: scan the edges
+    left by index, take each one disjoint from those taken, repeat on the
+    edges not taken, and concatenate the batches."""
+    order, left = [], range(g.edge_count)
+    while left:
+        taken: set[int] = set()
+        rest = []
+        for j in left:
+            if taken.isdisjoint(g.edges[j]):
+                taken.update(g.edges[j])
+                order.append(j)
+            else:
+                rest.append(j)
+        left = rest
+    return order
+
+
 def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
              timeout_ms: float | None = None) -> RbResult:
     """Exact rainbow number of m-matchings in g by a search over canonical colorings.
@@ -456,13 +504,30 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
 
     One edge of each color of a rainbow-free coloring spans no m-matching, so
     f <= ext(G, m): on a bipartite graph the search stops at its first leaf
-    with ext(G, m) colors, and `colorings_examined` counts the nodes up to
-    there.  Other graphs get the edge count as ceiling, which m <= nu keeps
-    out of reach.  Giving graphs of odd girth above 2m - 1 the ext ceiling
-    too saved only 117 of the benchmark sweep's 14,383 nodes (seed 1) and
-    none of the ladder's, at one more ext_exact call per such cell.  Graphs
-    with more than edge_budget edges are refused outright rather than
-    approximated; raise the budget explicitly to accept the runtime risk.
+    with ext(G, m) colors.  Other graphs get the edge count as ceiling,
+    which m <= nu keeps out of reach.  Giving graphs of odd girth above
+    2m - 1 the ext ceiling too saved only 117 of the benchmark sweep's
+    14,383 nodes (seed 1) and none of the ladder's, at one more ext_exact
+    call per such cell.
+
+    No one edge order suits every graph, so the search runs in two phases.
+    Phase 1 finds f.  It alternates the given edge order with the greedy
+    order (_greedy_order), under node caps that start at 1,024 and double
+    after each pair of attempts (Luby, Sinclair & Zuckerman's restarts,
+    IPL 47, 1993), and each attempt starts from the best count any earlier
+    one found.  The first attempt to finish gives f.  The greedy order wins
+    on dense cells (K_{6,6} with m = 4: 2,158 nodes, against no answer in
+    a minute in the given order) and loses on sparse ones (P18 with m = 6:
+    3,072 nodes, against 1,141).  Phase 2 finds the witness, the
+    lexicographically smallest coloring with f colors in the given order.
+    When the given order finished phase 1 with a coloring, that is it;
+    otherwise one more given-order search starts from f - 1 and stops at
+    its first leaf with f colors.  `colorings_examined` counts the nodes of
+    every attempt of both phases, so it equals one given-order search only
+    when that finishes under the first cap.  Every attempt honours the one
+    deadline of `timeout_ms`.  Graphs with more than edge_budget edges are
+    refused outright rather than approximated; raise the budget explicitly
+    to accept the runtime risk.
     """
     if m < 1:
         raise ValueError(f"matching size must be positive, got {m}")
@@ -487,13 +552,28 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return RbResult(0, None, 0, elapsed_ms)
     ceiling = ext_exact(g, m).value if g.bipartition is not None else g.edge_count
-    best_t, best_assignment, nodes = _search(g, m, deadline, ceiling)
-    assert best_assignment is not None and best_t >= 1  # monochromatic leaf always survives
-    extremal = Coloring(best_assignment, best_t)
+    # phase 1: attempts alternate between the given and the greedy order
+    orders, best, examined = [g], 0, 0
+    for attempt in count():
+        h, cap = orders[attempt % 2], _FIRST_NODE_CAP << attempt // 2
+        try:
+            f, assignment, nodes = _search(h, m, deadline, ceiling, best, cap)
+            break
+        except _NodeCapReached as reached:
+            best, examined = reached.args[0], examined + cap
+            if attempt == 0:
+                orders.append(Graph(g.vertex_count, tuple(g.edges[j] for j in _greedy_order(g))))
+    examined += nodes
+    # phase 2: the given order's first leaf with f colors, unless phase 1 found it
+    if h is not g or assignment is None:
+        _, assignment, nodes = _search(g, m, deadline, f, f - 1)
+        examined += nodes
+    assert assignment is not None and f >= 1  # monochromatic leaf always survives
+    extremal = Coloring(assignment, f)
     if find_rainbow_matching(g, extremal, m) is not None:
         raise AssertionError("search returned a coloring that is not rainbow-free")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return RbResult(best_t, extremal, nodes, elapsed_ms)
+    return RbResult(f, extremal, examined, elapsed_ms)
 
 
 # --- closed forms -------------------------------------------------------------

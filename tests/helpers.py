@@ -15,7 +15,9 @@ the most colors and no rainbow m-matching (brute_extremal_coloring), the
 second route to rb_exact, the largest rainbow matching inside an edge bitmask
 (brute_max_rainbow_matching), the yardstick of find_rainbow_matching's side
 cover bound, and the scan of every (m-1)-vertex subset (brute_cover_ext), the
-second route to ext_exact's cover branch and bound.
+second route to ext_exact's cover branch and bound, and the scan of every
+vertex sequence for a shortest odd cycle (brute_odd_girth), the second route
+to the breadth-first odd girth.
 The augmenting-path matching size is not brute force, but it shares nothing
 with the bitmask branching of max_matching_size, so it checks that routine on
 graphs too large for brute force.
@@ -24,7 +26,7 @@ graphs too large for brute force.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterator
 
 from rainbowlab import Coloring, Graph
@@ -246,6 +248,19 @@ def enumerate_representative_choices(g: Graph, coloring, m: int) -> bool:
             if is_disjoint_edge_set(g, choice):
                 return True
     return False
+
+
+def brute_odd_girth(g: Graph) -> int | None:
+    """The length of a shortest odd cycle of g, by trying every sequence of
+    an odd number of distinct vertices, shortest first; None when there is none."""
+    pairs = {frozenset(e) for e in g.edges}
+    # a cycle passes only through vertices of degree 2 or more
+    on_two = [v for v in range(g.vertex_count) if sum(v in e for e in pairs) >= 2]
+    for length in range(3, len(on_two) + 1, 2):
+        for cycle in permutations(on_two, length):
+            if all(frozenset((cycle[j - 1], cycle[j])) in pairs for j in range(length)):
+                return length
+    return None
 
 
 def random_bipartite(rng: random.Random, max_side: int = 6, p: float = 0.4) -> Graph:

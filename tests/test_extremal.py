@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from itertools import combinations
 
 import pytest
@@ -24,11 +25,13 @@ from rainbowlab import (
     rb_formula,
     verify_theorem,
 )
+from rainbowlab import extremal
 from rainbowlab.extremal import (
     _closable,
     _conflict_free,
     _conflicts,
     _ext_branch_and_bound,
+    _greedy_order,
     _odd_girth,
     _rainbow_matching,
     _search,
@@ -43,6 +46,7 @@ from helpers import (
     brute_first_rainbow_matching_in,
     brute_has_rainbow_matching,
     brute_max_matching_size,
+    brute_odd_girth,
     is_disjoint_edge_set,
     random_bipartite,
 )
@@ -396,7 +400,7 @@ def test_rb_exact_matches_brute_force_enumeration(g):
         ), (g.edges, m)
 
 
-# The search tree and extremal coloring of fifteen cells, pinned: a faster
+# The search tree and extremal coloring of seventeen cells, pinned: a faster
 # kernel must cut exactly this tree and return exactly this coloring.  The
 # P14, C13, m = 3, P16, C15, P18 and C17 cells have f < ext(G, m), so their
 # search exhausts the tree; the rainbow matching bound of prune (b) cuts the
@@ -405,33 +409,113 @@ def test_rb_exact_matches_brute_force_enumeration(g):
 # trees are as they were.  On P12 and C12 f = ext(G, m) and the search stops
 # at its first leaf with that many colors.  C11, C13, C15 and C17 are not
 # bipartite, so they get no ceiling, although f = ext(C11, 5) = 8.
+# `nodes` is the tree of one search in the given order, with rb_exact's
+# ceiling; `raced` is rb_exact's count over both phases.  A given-order tree
+# under the first node cap (1,024) is rb_exact's whole count.  Above it the
+# greedy order wins the dense m = 3 cells (K_{5,5}: 35,085 nodes in the given
+# order, 1,279 raced) and loses P18 and C17, where the given order finishes
+# at a later cap.
 @pytest.mark.parametrize(
-    ("g", "m", "nodes", "coloring"),
+    ("g", "m", "nodes", "raced", "coloring"),
     [
-        (make_path(14), 4, 127, "11111111112345"),
-        (make_cycle(13), 5, 796, "1111111234567"),
-        (make_circulant_regular_bipartite(7, 3), 3, 245, "111111111111111111234"),
-        (make_circulant_regular_bipartite(5, 4), 3, 1_849, "11111111111111112345"),
-        (make_complete_bipartite(4), 3, 1_838, "1111111111112345"),
-        (make_path(12), 5, 132, "121343565787"),
-        (make_cycle(12), 5, 266, "121343565787"),
-        (make_path(12), 6, 220, "1213435678910"),
-        (make_cycle(11), 5, 259, "12134356578"),
-        (make_path(16), 5, 382, "1111111111234567"),
-        (make_cycle(15), 5, 934, "111111111234567"),
-        (make_path(18), 6, 1_141, "111111111123456789"),
-        (make_circulant_regular_bipartite(8, 3), 4, 900, "111111111111111111234567"),
-        (make_circulant_regular_bipartite(10, 3), 4, 912, "111111111111111111111111234567"),
-        (make_cycle(17), 6, 6_652, "11111111123456789"),
+        (make_path(14), 4, 127, 127, "11111111112345"),
+        (make_cycle(13), 5, 796, 796, "1111111234567"),
+        (make_circulant_regular_bipartite(7, 3), 3, 245, 245, "111111111111111111234"),
+        (make_circulant_regular_bipartite(5, 4), 3, 1_849, 1_235, "11111111111111112345"),
+        (make_complete_bipartite(4), 3, 1_838, 1_178, "1111111111112345"),
+        (make_path(12), 5, 132, 132, "121343565787"),
+        (make_cycle(12), 5, 266, 266, "121343565787"),
+        (make_path(12), 6, 220, 220, "1213435678910"),
+        (make_cycle(11), 5, 259, 259, "12134356578"),
+        (make_path(16), 5, 382, 382, "1111111111234567"),
+        (make_cycle(15), 5, 934, 934, "111111111234567"),
+        (make_path(18), 6, 1_141, 3_072, "111111111123456789"),
+        (make_circulant_regular_bipartite(8, 3), 4, 900, 900, "111111111111111111234567"),
+        (make_circulant_regular_bipartite(10, 3), 4, 912, 912, "111111111111111111111111234567"),
+        (make_cycle(17), 6, 6_652, 20_886, "11111111123456789"),
+        (make_complete_bipartite(5), 3, 35_085, 1_279, "1111111111111111111123456"),
+        (make_circulant_regular_bipartite(7, 5), 3, 35_108, 1_499,
+         "11111111111111111111111111111123456"),
     ],
     ids=["P14_m4", "C13_m5", "circulant73_m3", "circulant54_m3", "K44_m3",
          "P12_m5", "C12_m5", "P12_m6", "C11_m5", "P16_m5", "C15_m5", "P18_m6",
-         "circulant83_m4", "circulant103_m4", "C17_m6"],
+         "circulant83_m4", "circulant103_m4", "C17_m6", "K55_m3", "circulant75_m3"],
 )
-def test_rb_search_tree_is_pinned(g, m, nodes, coloring):
+def test_rb_search_tree_is_pinned(g, m, nodes, raced, coloring):
+    ceiling = ext_exact(g, m).value if g.bipartition is not None else g.edge_count
+    f, assignment, examined = _search(g, m, None, ceiling)
+    assert examined == nodes
+    assert "".join(map(str, assignment)) == coloring
     result = rb_exact(g, m, edge_budget=g.edge_count)
-    assert result.colorings_examined == nodes
-    assert "".join(map(str, result.extremal_coloring.assignment)) == coloring
+    assert result.colorings_examined == raced
+    assert (result.f_value, result.extremal_coloring.assignment) == (f, assignment)
+
+
+def test_rb_timeout_holds_across_restarts():
+    # K_{6,6} with m = 5 takes about a minute, over a dozen attempts of both
+    # orders, so a 1-s timeout needs every attempt to check the one deadline
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        rb_exact(make_complete_bipartite(6), 5, edge_budget=36, timeout_ms=1000)
+    assert time.monotonic() - start < 2.0
+
+
+@st.composite
+def race_case(draw):
+    """A random bipartite graph of up to 5 + 5 vertices or any small graph
+    (small_graph), and an m from 2 up to its matching number."""
+    if draw(st.booleans()):
+        g = random_bipartite(random.Random(draw(st.integers(0, 2**32 - 1))), max_side=5)
+    else:
+        g = draw(small_graph())
+    assume(g.edge_count and max_matching_size(g) >= 2)
+    return g, draw(st.integers(2, max_matching_size(g)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(race_case())
+def test_a_forced_race_matches_the_exhaustive_search(case):
+    # a first node cap of 1 makes every cell alternate the two orders, with
+    # caps 1, 1, 2, 2, 4, 4, ..., and take its coloring from phase 2 unless
+    # the given order finishes first
+    g, m = case
+    f, assignment, _ = _search(g, m, None, g.edge_count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extremal, "_FIRST_NODE_CAP", 1)
+        result = rb_exact(g, m, edge_budget=g.edge_count)
+    assert (result.f_value, result.extremal_coloring.assignment) == (f, assignment), (g.edges, m)
+    if g.edge_count <= 7:
+        assert result.extremal_coloring == brute_extremal_coloring(g, m), (g.edges, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(race_case())
+def test_the_seeded_search_finds_the_unseeded_coloring(case):
+    g, m = case
+    f, assignment, _ = _search(g, m, None, g.edge_count)
+    assert _search(g, m, None, f, f - 1)[:2] == (f, assignment), (g.edges, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(race_case())
+def test_the_greedy_order_peels_maximal_matchings(case):
+    g, _ = case
+    order = _greedy_order(g)
+    assert sorted(order) == list(range(g.edge_count))
+    left = set(order)
+    while order:
+        # a batch runs while the next edge misses it, so it must be maximal
+        # among the edges left, and taken in index order
+        batch, ends = [], set()
+        for j in order:
+            if ends & set(g.edges[j]):
+                break
+            batch.append(j)
+            ends |= set(g.edges[j])
+        assert batch == sorted(batch)
+        assert all(ends & set(g.edges[j]) for j in left - set(batch)), (g.edges, batch)
+        left -= set(batch)
+        order = order[len(batch):]
 
 
 @settings(max_examples=200, deadline=None)
@@ -542,6 +626,12 @@ def _union(*parts):
 )
 def test_odd_girth(g, girth):
     assert _odd_girth(g) == girth
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graph())
+def test_odd_girth_matches_the_shortest_odd_cycle_by_brute_force(g):
+    assert _odd_girth(g) == brute_odd_girth(g), g.edges
 
 
 # Prune (b) caps the edges that avoid the rainbow matching by the s largest
