@@ -16,12 +16,11 @@ each color spans no m-matching) applied at every node.  The second is its
 pairwise form: two disjoint uncolored edges that a colored rainbow
 (m-2)-matching misses cannot both open a color (_conflicts), so the new
 colors are at most the most open edges with no such pair among them
-(_conflict_free).  On a bipartite graph the search also stops at its first
-leaf with ext(G, m) colors, since no rainbow-free coloring has more.  The
-one search routine (_search) runs in two phases.  The first finds f by
-racing the given edge order against a greedy-matching order under doubling
-node caps; the second takes the lexicographically smallest extremal coloring
-from one given-order search that starts from f - 1.
+(_conflict_free).  The one search routine (_search) runs in two phases.
+The first finds f by racing the given edge order against a greedy-matching
+order under doubling node caps; the second takes the lexicographically
+smallest extremal coloring from one given-order search that starts from
+f - 1.
 
 Three entry points evaluate the closed forms: ext_formula_regular (ext on
 k-regular bipartite graphs), rb_bounds (bounds on rb for k-regular families,
@@ -32,6 +31,7 @@ and names the violated constraint on rejection.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import accumulate, count
@@ -324,7 +324,9 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
     visited in lexicographic order and prunes (b) and (c) cut only subtrees
     that cannot beat the best count, so that first leaf is the one an
     exhaustive search keeps: the count and the assignment do not depend on
-    the ceiling.
+    the ceiling.  rb_exact's phase 2 is the only caller that passes a
+    ceiling below the edge count; phase 1 passes the edge count, which
+    m <= nu keeps out of reach.
 
     `best` is a count the search starts from and must beat: the count of a
     coloring known to exist, so cutting what cannot beat it loses nothing.
@@ -502,14 +504,6 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     are disjoint and missed by one colored rainbow (m-2)-matching, so the
     new colors are at most the most open edges without such a pair.
 
-    One edge of each color of a rainbow-free coloring spans no m-matching, so
-    f <= ext(G, m): on a bipartite graph the search stops at its first leaf
-    with ext(G, m) colors.  Other graphs get the edge count as ceiling,
-    which m <= nu keeps out of reach.  Giving graphs of odd girth above
-    2m - 1 the ext ceiling too saved only 117 of the benchmark sweep's
-    14,383 nodes (seed 1) and none of the ladder's, at one more ext_exact
-    call per such cell.
-
     No one edge order suits every graph, so the search runs in two phases.
     Phase 1 finds f.  It alternates the given edge order with the greedy
     order (_greedy_order), under node caps that start at 1,024 and double
@@ -525,14 +519,17 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     its first leaf with f colors.  `colorings_examined` counts the nodes of
     every attempt of both phases, so it equals one given-order search only
     when that finishes under the first cap.  Every attempt honours the one
-    deadline of `timeout_ms`.  Graphs with more than edge_budget edges are
-    refused outright rather than approximated; raise the budget explicitly
-    to accept the runtime risk.
+    deadline of `timeout_ms`, which must not be NaN.  Graphs with more than
+    edge_budget edges are refused outright rather than approximated; raise
+    the budget explicitly to accept the runtime risk.
     """
     if m < 1:
         raise ValueError(f"matching size must be positive, got {m}")
     if g.edge_count == 0:
         raise ValueError("rainbow numbers are undefined on graphs with no edges")
+    if timeout_ms is not None and math.isnan(timeout_ms):
+        # a NaN deadline compares false with every time, so it would never stop the search
+        raise ValueError("timeout must be a number of milliseconds, got NaN")
     if g.edge_count > edge_budget:
         raise BudgetExceededError(
             f"graph has {g.edge_count} edges, above the search budget of {edge_budget}; "
@@ -551,13 +548,12 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         # rainbow-free and rb = 1 with no extremal coloring to exhibit.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return RbResult(0, None, 0, elapsed_ms)
-    ceiling = ext_exact(g, m).value if g.bipartition is not None else g.edge_count
     # phase 1: attempts alternate between the given and the greedy order
     orders, best, examined = [g], 0, 0
     for attempt in count():
         h, cap = orders[attempt % 2], _FIRST_NODE_CAP << attempt // 2
         try:
-            f, assignment, nodes = _search(h, m, deadline, ceiling, best, cap)
+            f, assignment, nodes = _search(h, m, deadline, h.edge_count, best, cap)
             break
         except _NodeCapReached as reached:
             best, examined = reached.args[0], examined + cap

@@ -205,6 +205,19 @@ def test_rb_honours_its_budget_and_timeout(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)[0]["rb_value"] == 6
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["rb", "{graph}", "3"], ["verify", "T3.5", "--n", "2..8"]],
+    ids=["rb", "verify"],
+)
+def test_a_nan_timeout_is_a_usage_error(files, args, capsys):
+    # a NaN deadline would compare false with every time and never stop a search
+    graph, _ = files
+    argv = [arg.format(graph=graph) for arg in args] + ["--timeout-ms", "nan"]
+    assert main(argv) == EXIT_USAGE
+    assert "got NaN" in capsys.readouterr().err
+
+
 def test_check_prints_the_witness_of_a_planted_coloring(files, capsys):
     graph, coloring = files
     assert main(["check", graph, coloring, "3"]) == EXIT_OK

@@ -401,16 +401,15 @@ def test_rb_exact_matches_brute_force_enumeration(g):
 
 
 # The search tree and extremal coloring of seventeen cells, pinned: a faster
-# kernel must cut exactly this tree and return exactly this coloring.  The
-# P14, C13, m = 3, P16, C15, P18 and C17 cells have f < ext(G, m), so their
-# search exhausts the tree; the rainbow matching bound of prune (b) cuts the
+# kernel must cut exactly this tree and return exactly this coloring.  Every
+# search exhausts its tree, since its ceiling, the edge count, is out of
+# reach.  The P14, C13, m = 3, P16, C15, P18 and C17 cells have
+# f < ext(G, m); on P12, C12 and C11 f = ext(G, m), which is also prune
+# (b)'s cap at the root.  The rainbow matching bound of prune (b) cuts the
 # path and cycle cells to a few thousand nodes or fewer, prune (c) cuts the
 # cycles with m >= 5 and the m = 4 circulants further, and the dense m = 3
-# trees are as they were.  On P12 and C12 f = ext(G, m) and the search stops
-# at its first leaf with that many colors.  C11, C13, C15 and C17 are not
-# bipartite, so they get no ceiling, although f = ext(C11, 5) = 8.
-# `nodes` is the tree of one search in the given order, with rb_exact's
-# ceiling; `raced` is rb_exact's count over both phases.  A given-order tree
+# trees are as they were.  `nodes` is the tree of one search in the given order;
+# `raced` is rb_exact's count over both phases.  A given-order tree
 # under the first node cap (1,024) is rb_exact's whole count.  Above it the
 # greedy order wins the dense m = 3 cells (K_{5,5}: 35,085 nodes in the given
 # order, 1,279 raced) and loses P18 and C17, where the given order finishes
@@ -423,9 +422,9 @@ def test_rb_exact_matches_brute_force_enumeration(g):
         (make_circulant_regular_bipartite(7, 3), 3, 245, 245, "111111111111111111234"),
         (make_circulant_regular_bipartite(5, 4), 3, 1_849, 1_235, "11111111111111112345"),
         (make_complete_bipartite(4), 3, 1_838, 1_178, "1111111111112345"),
-        (make_path(12), 5, 132, 132, "121343565787"),
-        (make_cycle(12), 5, 266, 266, "121343565787"),
-        (make_path(12), 6, 220, 220, "1213435678910"),
+        (make_path(12), 5, 138, 138, "121343565787"),
+        (make_cycle(12), 5, 297, 297, "121343565787"),
+        (make_path(12), 6, 224, 224, "1213435678910"),
         (make_cycle(11), 5, 259, 259, "12134356578"),
         (make_path(16), 5, 382, 382, "1111111111234567"),
         (make_cycle(15), 5, 934, 934, "111111111234567"),
@@ -442,8 +441,7 @@ def test_rb_exact_matches_brute_force_enumeration(g):
          "circulant83_m4", "circulant103_m4", "C17_m6", "K55_m3", "circulant75_m3"],
 )
 def test_rb_search_tree_is_pinned(g, m, nodes, raced, coloring):
-    ceiling = ext_exact(g, m).value if g.bipartition is not None else g.edge_count
-    f, assignment, examined = _search(g, m, None, ceiling)
+    f, assignment, examined = _search(g, m, None, g.edge_count)
     assert examined == nodes
     assert "".join(map(str, assignment)) == coloring
     result = rb_exact(g, m, edge_budget=g.edge_count)
@@ -491,9 +489,17 @@ def test_a_forced_race_matches_the_exhaustive_search(case):
 @settings(max_examples=150, deadline=None)
 @given(race_case())
 def test_the_seeded_search_finds_the_unseeded_coloring(case):
+    # the ceiling g.edge_count is out of reach (m <= nu), so that search
+    # exhausts the tree; a ceiling at or above f and a seed below it change
+    # neither f nor the coloring, and a search they stop early visits no
+    # more nodes than the exhaustive one
     g, m = case
-    f, assignment, _ = _search(g, m, None, g.edge_count)
-    assert _search(g, m, None, f, f - 1)[:2] == (f, assignment), (g.edges, m)
+    f, assignment, exhausted = _search(g, m, None, g.edge_count)
+    for ceiling in {f, ext_exact(g, m).value, g.edge_count}:
+        for best in range(f):
+            f_seeded, seeded, nodes = _search(g, m, None, ceiling, best)
+            assert (f_seeded, seeded) == (f, assignment), (g.edges, m, ceiling, best)
+            assert nodes <= exhausted, (g.edges, m, ceiling, best)
 
 
 @settings(max_examples=200, deadline=None)
@@ -516,19 +522,6 @@ def test_the_greedy_order_peels_maximal_matchings(case):
         assert all(ends & set(g.edges[j]) for j in left - set(batch)), (g.edges, batch)
         left -= set(batch)
         order = order[len(batch):]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_the_ext_ceiling_changes_neither_f_nor_the_coloring(seed):
-    # ceiling = edge_count is never reached (m <= nu), so that search exhausts the tree
-    g = random_bipartite(random.Random(seed), max_side=5)
-    for m in range(2, max_matching_size(g) + 1):
-        ceiling = ext_exact(g, m).value
-        stopped = _search(g, m, None, ceiling)
-        exhausted = _search(g, m, None, g.edge_count)
-        assert stopped[:2] == exhausted[:2], (g.edges, m)
-        assert stopped[2] <= exhausted[2]
 
 
 @st.composite
@@ -656,11 +649,11 @@ def test_both_caps_of_prune_b_match_brute_force(g, m):
     assert (result.f_value, result.extremal_coloring) == (best.color_count, best)
 
 
-# Prune (c) cuts C8 and C9 with m = 4 (86 and 191 nodes without it, 62 and
+# Prune (c) cuts C8 and C9 with m = 4 (123 and 191 nodes without it, 69 and
 # 77 with it); on P8 and two 4-cycles with m = 4 it never cuts.
 @pytest.mark.parametrize(
     ("g", "m", "nodes"),
-    [(make_cycle(8), 4, 62), (make_cycle(9), 4, 77)],
+    [(make_cycle(8), 4, 69), (make_cycle(9), 4, 77)],
     ids=["C8_m4", "C9_m4"],
 )
 def test_prune_c_matches_brute_force(g, m, nodes):
@@ -828,9 +821,12 @@ def test_matching_number_guard_uses_exact_value():
     [
         (lambda: rb_exact(make_path(3), 0), "matching size must be positive"),
         (lambda: rb_exact(Graph(3, ()), 1), "graphs with no edges"),
+        (lambda: rb_exact(make_path(3), 3), "matching number is 2"),
+        (lambda: rb_exact(make_path(3), 2, timeout_ms=float("nan")), "got NaN"),
         (lambda: rb_formula("complete_bipartite", 3, None, 4), r"2 <= m <= n violated"),
     ],
-    ids=["rb_exact_m0", "rb_exact_edgeless", "complete_bipartite_m_above_n"],
+    ids=["rb_exact_m0", "rb_exact_edgeless", "rb_exact_m_above_nu", "rb_exact_nan_timeout",
+         "complete_bipartite_m_above_n"],
 )
 def test_rb_input_checks_name_the_violated_constraint(call, match):
     with pytest.raises(ValueError, match=match):
