@@ -495,7 +495,7 @@ def test_the_seeded_search_finds_the_unseeded_coloring(case):
     # more nodes than the exhaustive one
     g, m = case
     f, assignment, exhausted = _search(g, m, None, g.edge_count)
-    for ceiling in {f, ext_exact(g, m).value, g.edge_count}:
+    for ceiling in {f, g.edge_count}:
         for best in range(f):
             f_seeded, seeded, nodes = _search(g, m, None, ceiling, best)
             assert (f_seeded, seeded) == (f, assignment), (g.edges, m, ceiling, best)
@@ -522,6 +522,19 @@ def test_the_greedy_order_peels_maximal_matchings(case):
         assert all(ends & set(g.edges[j]) for j in left - set(batch)), (g.edges, batch)
         left -= set(batch)
         order = order[len(batch):]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_ext_ceiling_changes_neither_f_nor_the_coloring(seed):
+    # ceiling = edge_count is never reached (m <= nu), so that search exhausts the tree
+    g = random_bipartite(random.Random(seed), max_side=5)
+    for m in range(2, max_matching_size(g) + 1):
+        ceiling = ext_exact(g, m).value
+        stopped = _search(g, m, None, ceiling)
+        exhausted = _search(g, m, None, g.edge_count)
+        assert stopped[:2] == exhausted[:2], (g.edges, m)
+        assert stopped[2] <= exhausted[2]
 
 
 @st.composite
