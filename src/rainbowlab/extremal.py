@@ -14,9 +14,11 @@ rainbow matching already colored (_rainbow_matching) by the edges at a few
 largest-degree vertices: the paper's fact behind rb <= ext + 1 (one edge of
 each color spans no m-matching) applied at every node.  The second is its
 pairwise form: two disjoint uncolored edges that a colored rainbow
-(m-2)-matching misses cannot both open a color (_conflicts), so the new
+(m-2)-matching misses conflict and cannot both open a color, so the new
 colors are at most the most open edges with no such pair among them
-(_conflict_free).  The one search routine (_search) runs in two phases.
+(_conflict_free).  The conflicts are a table carried down the search: a
+child adds only those made by matchings through its newest colored edge
+(_add_conflicts).  The one search routine (_search) runs in two phases.
 The first finds f by racing the given edge order against a greedy-matching
 order under doubling node caps; the second takes the lexicographically
 smallest extremal coloring from one given-order search that starts from
@@ -195,12 +197,15 @@ def ext_formula_regular(n: int, k: int, m: int) -> int:
 # --- rb exact search ---------------------------------------------------------
 
 
-def _closable(avail: int, need: int, target: int, disjoint: tuple[int, ...], colors: list[int],
-              color_masks: list[int]) -> int:
-    """The edges of bitmask `target` that some rainbow matching of `need`
-    edges inside bitmask `avail` (colored edges) avoids.  A chosen edge drops
-    its color class and the edges it meets from the pool, and the target edges
-    it meets from those it can still close; a branch with none left dies."""
+def _closable(avail: int, need: int, target: int, sieve: tuple[int, ...] | list[int],
+              disjoint: tuple[int, ...], colors: list[int], color_masks: list[int]) -> int:
+    """The bits of `target` that some rainbow matching of `need` edges inside
+    bitmask `avail` (colored edges) avoids: a chosen edge j keeps only the
+    target bits in sieve[j].  With sieve = disjoint the targets are edges,
+    and a matching avoids those it shares no vertex with; with sieve[j] the
+    complement of bit colors[j] they are colors, and it avoids those none of
+    its edges has.  A chosen edge drops its color class and the edges it
+    meets from the pool; a branch with no target left dies."""
     if need == 0:
         return target
     found = 0
@@ -208,42 +213,47 @@ def _closable(avail: int, need: int, target: int, disjoint: tuple[int, ...], col
         low = avail & -avail
         j = low.bit_length() - 1
         avail ^= low
-        rest = target & disjoint[j] & ~found
+        rest = target & sieve[j] & ~found
         if rest:
             found |= _closable(avail & disjoint[j] & ~color_masks[colors[j]], need - 1, rest,
-                               disjoint, colors, color_masks)
+                               sieve, disjoint, colors, color_masks)
     return found
 
 
-def _conflicts(j: int, pool: int, size: int, target: int, disjoint: tuple[int, ...],
-               colors: list[int], color_masks: list[int]) -> int:
-    """The edges of bitmask `target` that conflict with edge j: those disjoint
-    from it that, with it, some rainbow matching of `size` edges inside bitmask
-    `pool` (colored edges) avoids.  Such a matching avoids edge j exactly when
-    it lies among the pool edges disjoint from j."""
-    return _closable(pool & disjoint[j], size, target & disjoint[j], disjoint, colors, color_masks)
+def _add_conflicts(table: list[int], p: int, opened: int, size: int, disjoint: tuple[int, ...],
+                   colors: list[int], color_masks: list[int]) -> None:
+    """Add to table[j], for each edge j of bitmask `opened`, the edges of
+    `opened` above j that conflict with j through a rainbow matching of
+    `size` colored edges whose highest edge is p.  Two disjoint edges
+    conflict when some rainbow `size`-matching among the colored edges
+    avoids both.  One whose highest edge is p is p plus a rainbow
+    (size - 1)-matching among the edges below p that are disjoint from p and
+    not of p's color, so only the edges of `opened` disjoint from p gain
+    conflicts.  Conflicts below j are left out: _conflict_free reads table[j]
+    only against candidates above j."""
+    through = ((1 << p) - 1) & disjoint[p] & ~color_masks[colors[p]]
+    rest = opened & disjoint[p]
+    while rest:
+        low = rest & -rest
+        j = low.bit_length() - 1
+        rest ^= low
+        target = rest & disjoint[j]
+        if target:
+            table[j] |= _closable(through & disjoint[j], size - 1, target, disjoint, disjoint,
+                                  colors, color_masks)
 
 
-def _conflict_free(cands: int, need: int, conflicts: dict[int, int], target: int, pool: int,
-                   size: int, disjoint: tuple[int, ...], colors: list[int],
-                   color_masks: list[int]) -> bool:
-    """Whether `need` edges of bitmask `cands` exist, no two of which conflict
-    (_conflicts with `pool` and `size`).  The lowest candidate is taken, then
-    dropped; a branch with fewer candidates than it needs dies.  conflicts[j]
-    caches the edges of `target` above j that conflict with j, made when the
-    test first takes j, so `target` must hold every candidate."""
-    if need <= 0:
-        return True
+def _conflict_free(cands: int, need: int, table: list[int]) -> bool:
+    """Whether `need` edges of bitmask `cands` exist, no two of which
+    conflict: table[j] holds the candidates above j that conflict with edge
+    j.  The lowest candidate is taken, then dropped; a branch with fewer
+    candidates than it needs dies."""
+    if need <= 1:
+        return need <= 0 or cands != 0
     while cands.bit_count() >= need:
         low = cands & -cands
-        j = low.bit_length() - 1
         cands ^= low
-        clash = conflicts.get(j)
-        if clash is None:
-            clash = conflicts[j] = _conflicts(j, pool, size, target & -(low << 1), disjoint,
-                                              colors, color_masks)
-        if _conflict_free(cands & ~clash, need - 1, conflicts, target, pool, size, disjoint,
-                          colors, color_masks):
+        if _conflict_free(cands & ~table[low.bit_length() - 1], need - 1, table):
             return True
     return False
 
@@ -348,7 +358,9 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
     edge i's color c completes a rainbow m-matching, that is, when a rainbow
     (m-1)-matching among the colored edges avoids both edge i and color c.
     For a new color that is edge i's closed bit.  An open edge has no such
-    matching for any c, so only a closed edge searches, once per reused color.
+    matching for any c, so only a closed edge searches, once per node: one
+    _closable call over the colored edges disjoint from edge i, with the old
+    colors as its targets, gives every color some such matching avoids.
 
     Prune (b): each node carries r, the size of a largest rainbow matching M
     among the colored edges, M's edge mask `held`, and `touch`, the edges at
@@ -373,17 +385,27 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
     than t + |open|, which is tested first as it is cheaper.
 
     Prune (c): two open edges f and f' conflict when they are disjoint and
-    some rainbow (m-2)-matching N among the colored edges misses both
-    (_conflicts).  The first edges of the T - t new colors of a leaf below
-    the node are open now, as in prune (b), and no two of them conflict: N
-    plus the pair would be a rainbow m-matching of the leaf, since N's colors
-    are old and distinct and the pair's are new and distinct.  So T - t is at
-    most the largest conflict-free set of open edges, and a node is cut when
-    no best - t + 1 open edges are pairwise conflict-free (_conflict_free,
-    which makes each edge's conflicts when it first reaches that edge).  Like
-    prune (b) it cuts only subtrees that cannot beat the best count.  No
-    pair can conflict while r < m - 2, so the test runs from r = m - 2 on,
+    some rainbow (m-2)-matching N among the colored edges misses both.  The
+    first edges of the T - t new colors of a leaf below the node are open
+    now, as in prune (b), and no two of them conflict: N plus the pair would
+    be a rainbow m-matching of the leaf, since N's colors are old and
+    distinct and the pair's are new and distinct.  So T - t is at most the
+    largest conflict-free set of open edges, and a node is cut when no
+    best - t + 1 open edges are pairwise conflict-free (_conflict_free).
+    Like prune (b) it cuts only subtrees that cannot beat the best count.
+    No pair can conflict while r < m - 2, so the test runs from r = m - 2 on,
     and only for m >= 4, where it pays for itself (see the comment there).
+    The conflicts are forward checked (Haralick & Elliott, Artif. Intell. 14,
+    1980): `table[j]` holds the open edges above j that conflict with j, and
+    a child extends its parent's table rather than rebuilding it.  After
+    edge p is colored, every new N is p plus a rainbow (m-3)-matching among
+    the colored edges before p, so only the open edges disjoint from p gain
+    conflicts (_add_conflicts).  A node that needs fewer than two new colors
+    passes with no test: it leaves the table as it is and passes the edges
+    whose conflicts it lacks (`pending`) down, and the first node below that
+    tests copies the table and adds theirs against its own, smaller open
+    set.  Colors below p are final, so adding them late gives the same
+    conflicts among the edges still open.
     """
     disjoint, incidence = g.disjoint, g.incidence
     edge_count = len(disjoint)
@@ -396,12 +418,19 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
             for s in range(m - 1, -1, -1)]
     every = (1 << edge_count) - 1
     colors = [0] * edge_count
+    # keep[j] drops colors[j] from a bitmask of colors, as disjoint[j] drops
+    # the edges edge j meets from a bitmask of edges
+    keep = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
+    # prune (c)'s table before any rainbow (m-2)-matching is colored; it is
+    # never written, since a node copies a table before adding to it
+    blank = [0] * edge_count
     best_t = best
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
 
-    def assign(i: int, t: int, closed: int, r: int, held: int, touch: int):
+    def assign(i: int, t: int, closed: int, r: int, held: int, touch: int, table: list[int],
+               pending: tuple[int, ...]):
         nonlocal best_t, best_assignment, nodes
         nodes += 1
         # checked at the first node too, so small searches honour the deadline
@@ -425,21 +454,38 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
         # from 4,729 to 3,767 nodes (seed 1) but made K_{5,5} and
         # circulant(7,5) with m = 3 14% and 35% slower (medians of 21 runs).
         if m >= 4 and r >= m - 2:
-            opened = every & ~closed & -bit
-            if not _conflict_free(opened, best_t - t + 1, {}, opened, bit - 1, m - 2, disjoint,
-                                  colors, color_masks):
-                return
-        shut = closed & bit
-        # open uncolored edges disjoint from edge i
-        recheck = disjoint[i] & ~closed & -(bit << 1)
+            need = best_t - t + 1
+            # a need of one edge or none passes: the bound above left at
+            # least need open edges
+            if need >= 2:
+                opened = every & ~closed & -bit
+                # pending holds edge i - 1 at least, so there is always one to add
+                table = table.copy()
+                for p in pending:
+                    _add_conflicts(table, p, opened, m - 2, disjoint, colors, color_masks)
+                pending = ()
+                if not _conflict_free(opened, need, table):
+                    return
+        else:
+            # no rainbow (m-2)-matching is colored yet, so no pair conflicts
+            # (and at m < 4 the table is never read)
+            table, pending = blank, ()
+        later = pending + (i,)
         # colored edges disjoint from edge i
         colored = disjoint[i] & (bit - 1)
+        # prune (a): the old colors some rainbow (m-1)-matching avoids; any
+        # matching in colored avoids edge i
+        shut = closed & bit
+        blocked = _closable(colored, m - 1, (2 << t) - 2, keep, disjoint, colors,
+                            color_masks) if shut else 0
+        # open uncolored edges disjoint from edge i
+        recheck = disjoint[i] & ~closed & -(bit << 1)
         for c in range(1, t + 1 if shut else t + 2):
+            if blocked >> c & 1:
+                continue
             avail = colored & ~color_masks[c]
             colors[i] = c
-            # avail lies inside disjoint[i], so any matching in it avoids edge i
-            if shut and _closable(avail, m - 1, bit, disjoint, colors, color_masks):
-                continue
+            keep[i] = ~(1 << c)
             child_r, child_held, child_touch = r, held, touch
             # r = m - 1 cannot grow: prune (a) or edge i's open bit rules that out
             if r < m - 1:
@@ -457,12 +503,14 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
             color_masks[c] |= bit
             child_closed = closed
             if child_r == m - 1:
-                child_closed |= _closable(avail, m - 2, recheck, disjoint, colors, color_masks)
-            if assign(i + 1, t if c <= t else c, child_closed, child_r, child_held, child_touch):
+                child_closed |= _closable(avail, m - 2, recheck, disjoint, disjoint, colors,
+                                          color_masks)
+            if assign(i + 1, t if c <= t else c, child_closed, child_r, child_held, child_touch,
+                      table, later):
                 return True
             color_masks[c] &= ~bit
 
-    assign(0, 0, 0, 0, 0, 0)
+    assign(0, 0, 0, 0, 0, 0, blank, ())
     return best_t, best_assignment, nodes
 
 
@@ -519,7 +567,8 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     its first leaf with f colors.  `colorings_examined` counts the nodes of
     every attempt of both phases, so it equals one given-order search only
     when that finishes under the first cap.  Every attempt honours the one
-    deadline of `timeout_ms`, which must not be NaN.  Graphs with more than
+    deadline of `timeout_ms`, which must be a number of milliseconds, 0 or
+    more (0 refuses at the first node).  Graphs with more than
     edge_budget edges are refused outright rather than approximated; raise
     the budget explicitly to accept the runtime risk.
     """
@@ -530,6 +579,11 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
     if timeout_ms is not None and math.isnan(timeout_ms):
         # a NaN deadline compares false with every time, so it would never stop the search
         raise ValueError("timeout must be a number of milliseconds, got NaN")
+    # a negative limit would refuse every graph as if it were too big for the search
+    if timeout_ms is not None and timeout_ms < 0:
+        raise ValueError(f"timeout must be at least 0 milliseconds, got {timeout_ms}")
+    if edge_budget < 0:
+        raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
     if g.edge_count > edge_budget:
         raise BudgetExceededError(
             f"graph has {g.edge_count} edges, above the search budget of {edge_budget}; "

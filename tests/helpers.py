@@ -7,8 +7,11 @@ representative-choice rainbow oracle (enumerate_representative_choices), the
 second route to find_rainbow_matching's answer on small colored graphs, the
 enumeration of every canonical coloring (canonical_colorings), the second
 route to rb_exact's pruned search, the union over every rainbow matching of
-the edges it avoids (brute_closable), the second route to rb_exact's search
-kernel, the lexicographically first rainbow matching inside an edge bitmask
+the edges it avoids (brute_closable) and of the colors it misses
+(brute_avoided_colors), the second route to rb_exact's search kernel, the
+pairs of edges that one rainbow matching avoids (brute_conflicts), the
+second route to prune (c)'s conflict table, the lexicographically first
+rainbow matching inside an edge bitmask
 (brute_first_rainbow_matching_in), the second route to the rainbow matching
 that prune (b) grows, the lexicographically first canonical coloring with
 the most colors and no rainbow m-matching (brute_extremal_coloring), the
@@ -118,6 +121,21 @@ def brute_closable(g: Graph, colors, avail: int, need: int, target: int) -> int:
             if not touched & set(g.edges[j - 1]):
                 closable |= 1 << (j - 1)
     return closable
+
+
+def brute_avoided_colors(g: Graph, colors, avail: int, need: int, target: int) -> int:
+    """The colors of bitmask `target` (bit c is color c) that some rainbow
+    matching of `need` edges of bitmask `avail` has on none of its edges, in
+    Graph's encoding (bit j is edge j + 1) with colors[j] the color of edge
+    j + 1: every need-subset of avail that is a rainbow matching, and the
+    union of the target colors it misses."""
+    edges = [i for i in range(1, g.edge_count + 1) if avail >> (i - 1) & 1]
+    avoided = 0
+    for combo in combinations(edges, need):
+        used = {colors[i - 1] for i in combo}
+        if len(used) == need and is_disjoint_edge_set(g, combo):
+            avoided |= target & ~sum(1 << c for c in used)
+    return avoided
 
 
 def brute_conflicts(g: Graph, colors, pool: int, size: int, j: int, target: int) -> int:

@@ -218,6 +218,22 @@ def test_a_nan_timeout_is_a_usage_error(files, args, capsys):
     assert "got NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("args", "limit", "message"),
+    [(args, limit, message)
+     for args in (["rb", "{graph}", "3"], ["verify", "T3.5", "--n", "2..4"])
+     for limit, message in ((["--timeout-ms", "-1"], "timeout must be at least 0"),
+                            (["--budget-edges", "-1"], "edge budget must be at least 0"))],
+    ids=["rb_timeout", "rb_budget", "verify_timeout", "verify_budget"],
+)
+def test_a_negative_limit_is_a_usage_error(files, args, limit, message, capsys):
+    # a negative limit used to refuse every cell as over budget: rb exited 2,
+    # and verify exited 0 with every cell not_applicable
+    graph, _ = files
+    assert main([arg.format(graph=graph) for arg in args] + limit) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_check_prints_the_witness_of_a_planted_coloring(files, capsys):
     graph, coloring = files
     assert main(["check", graph, coloring, "3"]) == EXIT_OK

@@ -27,9 +27,9 @@ from rainbowlab import (
 )
 from rainbowlab import extremal
 from rainbowlab.extremal import (
+    _add_conflicts,
     _closable,
     _conflict_free,
-    _conflicts,
     _ext_branch_and_bound,
     _greedy_order,
     _odd_girth,
@@ -37,6 +37,7 @@ from rainbowlab.extremal import (
     _search,
 )
 from helpers import (
+    brute_avoided_colors,
     brute_closable,
     brute_conflicts,
     canonical_colorings,
@@ -551,15 +552,20 @@ def closable_case(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(closable_case())
-def test_closable_matches_the_union_over_every_rainbow_matching(case):
+@given(closable_case(), st.integers(0, 2**5 - 1))
+def test_closable_matches_the_union_over_every_rainbow_matching(case, target_colors):
+    # edge targets are sieved by disjoint, color targets (bit c is color c)
+    # by the complement of each edge's color bit
     g, colors, avail, target = case
     color_masks = [0] * 5
     for j, c in enumerate(colors):
         color_masks[c] |= 1 << j
+    keep = [~(1 << c) for c in colors]
     for need in range(4):
-        assert _closable(avail, need, target, g.disjoint, colors, color_masks) == (
+        assert _closable(avail, need, target, g.disjoint, g.disjoint, colors, color_masks) == (
             brute_closable(g, colors, avail, need, target)), (g.edges, colors, need)
+        assert _closable(avail, need, target_colors, keep, g.disjoint, colors, color_masks) == (
+            brute_avoided_colors(g, colors, avail, need, target_colors)), (g.edges, colors, need)
 
 
 @settings(max_examples=300, deadline=None)
@@ -574,17 +580,46 @@ def test_rainbow_matching_is_the_first_one_inside_avail(case):
             brute_first_rainbow_matching_in(g, colors, avail, need)), (g.edges, colors, need)
 
 
+@st.composite
+def conflict_case(draw):
+    """A simple graph of up to 10 vertices and 12 edges, a coloring of it with
+    up to 4 colors, and for each edge the step after which it closes."""
+    n = draw(st.integers(4, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True,
+                                     min_size=1, max_size=12))))
+    colors = draw(st.lists(st.integers(1, 4), min_size=g.edge_count, max_size=g.edge_count))
+    closes = draw(st.lists(st.integers(0, g.edge_count), min_size=g.edge_count,
+                           max_size=g.edge_count))
+    late = draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+    return g, colors, closes, late
+
+
 @settings(max_examples=300, deadline=None)
-@given(closable_case())
-def test_conflicts_match_every_rainbow_matching(case):
-    g, colors, pool, target = case
-    color_masks = [0] * 5
-    for j, c in enumerate(colors):
-        color_masks[c] |= 1 << j
-    for size in range(3):
-        for j in range(g.edge_count):
-            assert _conflicts(j, pool, size, target, g.disjoint, colors, color_masks) == (
-                brute_conflicts(g, colors, pool, size, j, target)), (g.edges, colors, size, j)
+@given(conflict_case())
+def test_the_conflict_table_matches_every_rainbow_matching(case):
+    # color the edges in order, as the search does; edge j is open after
+    # step p while j > p and it has not closed, and an edge never reopens.
+    # A late edge's conflicts are added at a later step, against that step's
+    # smaller open set; after each step with nothing pending, table[j] must
+    # hold exactly the open edges above j that conflict with j
+    g, colors, closes, late = case
+    for m in (4, 5):
+        table, pending, color_masks = [0] * g.edge_count, [], [0] * 5
+        for p in range(g.edge_count):
+            color_masks[colors[p]] |= 1 << p
+            opened = sum(1 << j for j in range(p + 1, g.edge_count) if closes[j] > p)
+            pending.append(p)
+            if late[p] and p < g.edge_count - 1:
+                continue
+            for q in pending:
+                _add_conflicts(table, q, opened, m - 2, g.disjoint, colors, color_masks)
+            pending.clear()
+            for j in range(g.edge_count):
+                if opened >> j & 1:
+                    assert table[j] & opened == brute_conflicts(
+                        g, colors, (2 << p) - 1, m - 2, j, opened & -(2 << j)), (
+                        g.edges, colors, closes, late, m, p, j)
 
 
 @settings(max_examples=200, deadline=None)
@@ -593,18 +628,15 @@ def test_conflict_free_matches_brute_force_over_subsets(case, keep):
     # the candidates are a subset of the target, as in the search's recursion
     g, colors, pool, target = case
     cands = target & keep
-    color_masks = [0] * 5
-    for j, c in enumerate(colors):
-        color_masks[c] |= 1 << j
     edges = [j for j in range(g.edge_count) if cands >> j & 1]
     for size in range(3):
-        clash = {j: brute_conflicts(g, colors, pool, size, j, target) for j in edges}
+        table = [brute_conflicts(g, colors, pool, size, j, target) for j in range(g.edge_count)]
         largest = max(len(subset) for k in range(len(edges) + 1)
                       for subset in combinations(edges, k)
-                      if not any(clash[a] >> b & 1 for a, b in combinations(subset, 2)))
+                      if not any(table[a] >> b & 1 for a, b in combinations(subset, 2)))
         for need in range(len(edges) + 2):
-            assert _conflict_free(cands, need, {}, target, pool, size, g.disjoint, colors,
-                                  color_masks) == (need <= largest), (g.edges, colors, size, need)
+            assert _conflict_free(cands, need, table) == (need <= largest), (
+                g.edges, colors, size, need)
 
 
 def _union(*parts):
@@ -836,10 +868,12 @@ def test_matching_number_guard_uses_exact_value():
         (lambda: rb_exact(Graph(3, ()), 1), "graphs with no edges"),
         (lambda: rb_exact(make_path(3), 3), "matching number is 2"),
         (lambda: rb_exact(make_path(3), 2, timeout_ms=float("nan")), "got NaN"),
+        (lambda: rb_exact(make_path(3), 2, timeout_ms=-1), "timeout must be at least 0"),
+        (lambda: rb_exact(make_path(3), 2, edge_budget=-1), "edge budget must be at least 0"),
         (lambda: rb_formula("complete_bipartite", 3, None, 4), r"2 <= m <= n violated"),
     ],
     ids=["rb_exact_m0", "rb_exact_edgeless", "rb_exact_m_above_nu", "rb_exact_nan_timeout",
-         "complete_bipartite_m_above_n"],
+         "rb_exact_negative_timeout", "rb_exact_negative_budget", "complete_bipartite_m_above_n"],
 )
 def test_rb_input_checks_name_the_violated_constraint(call, match):
     with pytest.raises(ValueError, match=match):
