@@ -10,6 +10,7 @@ claimed per certified instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .colorings import Coloring
 from .extremal import _check_path
@@ -59,17 +60,10 @@ def extremal_coloring_regular(g: Graph, m: int) -> ConstructionReport:
     if not 2 <= m <= n:
         raise ValueError(f"constraint 2 <= m <= |Y| violated: m={m}, |Y|={n}")
     chosen_y = set(sorted(y_side)[: m - 2])
-    assignment = []
-    next_color = 0
-    for u, v in g.edges:
-        if u in chosen_y or v in chosen_y:
-            next_color += 1
-            assignment.append(next_color)
-        else:
-            assignment.append(0)
-    shared = next_color + 1
-    assignment = tuple(shared if c == 0 else c for c in assignment)
-    coloring = Coloring(assignment, shared)
+    star = [u in chosen_y or v in chosen_y for u, v in g.edges]
+    shared = sum(star) + 1
+    fresh = count(1)
+    coloring = Coloring(tuple(next(fresh) if at_star else shared for at_star in star), shared)
     return _report(g, m, coloring, "regular_star")
 
 

@@ -1,34 +1,13 @@
 """Exact anti-Ramsey style computations and closed-form evaluators.
 
-ext_exact computes the largest edge count of a subgraph with no matching of
-size m: the most edges that m-1 vertices touch (Koenig) when G has no odd
-cycle of length 2m-1 or less, a search over edge subsets otherwise.
-rb_exact computes the rainbow number rb(G, m) = f(G, m) + 1, where
-f(G, m) is the largest number of colors in a surjective edge-coloring of G
-with no rainbow m-matching; the search enumerates canonical restricted-growth
-colorings with three prunes (a rainbow m-matching among the colored edges,
-and two bounds on new colors), and returns the lexicographically smallest
-extremal coloring.  The first bound counts the uncolored edges that can
-still open a new color (_closable), and caps those away from a largest
-rainbow matching already colored (_rainbow_matching) by the edges at a few
-largest-degree vertices: the paper's fact behind rb <= ext + 1 (one edge of
-each color spans no m-matching) applied at every node.  The second is its
-pairwise form: two disjoint uncolored edges that a colored rainbow
-(m-2)-matching misses conflict and cannot both open a color, so the new
-colors are at most the most open edges with no such pair among them
-(_conflict_free).  The conflicts are a table carried down the search: a
-child adds only those made by matchings through its newest colored edge
-(_add_conflicts).  The one search routine (_search) runs in two phases.
-The first finds f by racing the given edge order against a greedy-matching
-order under doubling node caps; the second takes the lexicographically
-smallest extremal coloring from one given-order search that starts from
-f - 1.
-
-Three entry points evaluate the closed forms: ext_formula_regular (ext on
-k-regular bipartite graphs), rb_bounds (bounds on rb for k-regular families,
-paths and cycles) and rb_formula (exact rb for k-regular families, complete
-bipartite graphs, paths and cycles).  Each validates its stated parameter range
-and names the violated constraint on rejection.
+ext_exact: ext(G, m), the most edges of a subgraph with no m-matching, by a
+vertex-cover branch and bound or, on short odd cycles, an edge-subset one.
+rb_exact: rb(G, m) = f(G, m) + 1 and the lexicographically smallest extremal
+coloring, by one search over canonical colorings (_search, whose docstring
+gives its prunes and their proofs) run in two phases.
+ext_formula_regular, rb_bounds and rb_formula: the paper's closed forms for
+k-regular bipartite graphs, complete bipartite graphs, paths and cycles; each
+names the violated constraint when its parameters are out of range.
 """
 
 from __future__ import annotations
@@ -126,8 +105,6 @@ def ext_exact(g: Graph, m: int) -> ExtResult:
     """
     if m < 1:
         raise ValueError(f"matching size must be at least 1, got m={m} (m=0 is vacuous)")
-    if m == 1:
-        return ExtResult(0, frozenset(), frozenset())
     if _koenig(_odd_girth(g), m - 1):
         value, mask, cover = _ext_cover_based(g, m)
     elif g.edge_count > NONBIPARTITE_EXT_MAX_EDGES:
@@ -362,16 +339,16 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
     _closable call over the colored edges disjoint from edge i, with the old
     colors as its targets, gives every color some such matching avoids.
 
-    Prune (b): each node carries r, the size of a largest rainbow matching M
-    among the colored edges, M's edge mask `held`, and `touch`, the edges at
-    M's 2r vertices.  Coloring edge i can raise r only by one, through a
-    matching that uses edge i, so a child needs a rainbow r-matching among
-    the colored edges disjoint from edge i and not of its color: M itself
-    when it lies there, else the first one _rainbow_matching finds.  When
-    there is one, it plus edge i is the child's M.  A leaf below the node
-    with T > t colors gives each new color a first edge.  Those T - t edges
-    are open now, since a closed edge never takes a new color and closed
-    edges stay closed.
+    Prune (b): each node carries `held`, the edge mask of a largest rainbow
+    matching M among the colored edges, and `touch`, the edges at M's
+    vertices; r is M's size.  Coloring edge i can raise r only by one,
+    through a matching that uses edge i, so a child needs a rainbow
+    r-matching among the colored edges disjoint from edge i and not of its
+    color: M itself when it lies there, else the first one _rainbow_matching
+    finds.  When there is one, it plus edge i is the child's M.  A leaf below
+    the node with T > t colors gives each new color a first edge.  Those
+    T - t edges are open now, since a closed edge never takes a new color and
+    closed edges stay closed.
     A matching among those that miss touch, joined to M, is a rainbow matching
     of the leaf (M's colors are old and distinct, theirs new and distinct);
     the leaf is rainbow-free, so their matching number is at most
@@ -401,11 +378,13 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
     edge p is colored, every new N is p plus a rainbow (m-3)-matching among
     the colored edges before p, so only the open edges disjoint from p gain
     conflicts (_add_conflicts).  A node that needs fewer than two new colors
-    passes with no test: it leaves the table as it is and passes the edges
-    whose conflicts it lacks (`pending`) down, and the first node below that
-    tests copies the table and adds theirs against its own, smaller open
-    set.  Colors below p are final, so adding them late gives the same
-    conflicts among the edges still open.
+    passes with no test and leaves the table as it is, so the edges from
+    `since` to i - 1 have their conflicts still to add: the first node below
+    that tests copies the table and adds theirs against its own, smaller
+    open set.  Colors below p are final, so adding them late gives the same
+    conflicts among the edges still open.  A node with r < m - 2 has none to
+    add, as no N lies among its colored edges, and it holds the root's empty
+    table: tables are copied only from r = m - 2 on, and r never falls.
     """
     disjoint, incidence = g.disjoint, g.incidence
     edge_count = len(disjoint)
@@ -422,15 +401,11 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
     # the edges edge j meets from a bitmask of edges
     keep = [0] * edge_count
     color_masks = [0] * (edge_count + 2)
-    # prune (c)'s table before any rainbow (m-2)-matching is colored; it is
-    # never written, since a node copies a table before adding to it
-    blank = [0] * edge_count
     best_t = best
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
 
-    def assign(i: int, t: int, closed: int, r: int, held: int, touch: int, table: list[int],
-               pending: tuple[int, ...]):
+    def assign(i: int, t: int, closed: int, held: int, touch: int, table: list[int], since: int):
         nonlocal best_t, best_assignment, nodes
         nodes += 1
         # checked at the first node too, so small searches honour the deadline
@@ -444,6 +419,7 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
                 best_t = t
                 best_assignment = tuple(colors)
             return best_t == ceiling
+        r = held.bit_count()
         # the bound is min(t + |open|, t + |open & touch| + room[r])
         if (t + (edge_count - i) - (closed >> i).bit_count() <= best_t
                 or t + ((touch & ~closed) >> i).bit_count() + room[r] <= best_t):
@@ -459,18 +435,17 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
             # least need open edges
             if need >= 2:
                 opened = every & ~closed & -bit
-                # pending holds edge i - 1 at least, so there is always one to add
+                # since < i, so there is always an edge to add
                 table = table.copy()
-                for p in pending:
+                for p in range(since, i):
                     _add_conflicts(table, p, opened, m - 2, disjoint, colors, color_masks)
-                pending = ()
+                since = i
                 if not _conflict_free(opened, need, table):
                     return
         else:
             # no rainbow (m-2)-matching is colored yet, so no pair conflicts
-            # (and at m < 4 the table is never read)
-            table, pending = blank, ()
-        later = pending + (i,)
+            # and the table is still the root's (at m < 4 it is never read)
+            since = i
         # colored edges disjoint from edge i
         colored = disjoint[i] & (bit - 1)
         # prune (a): the old colors some rainbow (m-1)-matching avoids; any
@@ -486,31 +461,31 @@ def _search(g: Graph, m: int, deadline: float | None, ceiling: int, best: int = 
             avail = colored & ~color_masks[c]
             colors[i] = c
             keep[i] = ~(1 << c)
-            child_r, child_held, child_touch = r, held, touch
+            child_held, child_touch = held, touch
             # r = m - 1 cannot grow: prune (a) or edge i's open bit rules that out
             if r < m - 1:
                 if not held & ~avail:
                     # M lies in the pool, so M plus edge i is rainbow
-                    child_r, child_held, child_touch = r + 1, held | bit, touch | ends[i]
+                    child_held, child_touch = held | bit, touch | ends[i]
                 else:
                     grown = _rainbow_matching(avail, r, disjoint, colors, color_masks)
                     if grown is not None:
-                        child_r, child_held, child_touch = r + 1, grown | bit, ends[i]
+                        child_held, child_touch = grown | bit, ends[i]
                         while grown:
                             low = grown & -grown
                             child_touch |= ends[low.bit_length() - 1]
                             grown ^= low
             color_masks[c] |= bit
             child_closed = closed
-            if child_r == m - 1:
+            if child_held.bit_count() == m - 1:
                 child_closed |= _closable(avail, m - 2, recheck, disjoint, disjoint, colors,
                                           color_masks)
-            if assign(i + 1, t if c <= t else c, child_closed, child_r, child_held, child_touch,
-                      table, later):
+            if assign(i + 1, t if c <= t else c, child_closed, child_held, child_touch, table,
+                      since):
                 return True
             color_masks[c] &= ~bit
 
-    assign(0, 0, 0, 0, 0, 0, blank, ())
+    assign(0, 0, 0, 0, 0, [0] * edge_count, 0)
     return best_t, best_assignment, nodes
 
 
@@ -532,50 +507,8 @@ def _greedy_order(g: Graph) -> list[int]:
     return order
 
 
-def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
-             timeout_ms: float | None = None) -> RbResult:
-    """Exact rainbow number of m-matchings in g by a search over canonical colorings.
-
-    f is the maximum color count over rainbow-free surjective colorings and
-    rb = f + 1.  The search space is the set of restricted-growth strings
-    over the edge list, so color permutations are never revisited.  A branch
-    dies when its colored edges hold a rainbow m-matching, or when its colors
-    plus a bound on its new colors cannot beat the best count found.  A new
-    color's first edge is uncolored and open (no rainbow (m-1)-matching among
-    colored edges avoids it), and with r the size of a largest rainbow
-    matching M among the colored edges, the first edges that miss M's
-    vertices have matching number at most s = m - 1 - r, so they are covered
-    by the s largest-degree vertices (bipartite G, or odd girth above
-    2s + 1) or the 2s largest: the bound is the open edges at M's vertices
-    plus the lesser of the other open edges and that cover's degree sum.
-    For m >= 4 a second bound takes pairs: no two first edges of new colors
-    are disjoint and missed by one colored rainbow (m-2)-matching, so the
-    new colors are at most the most open edges without such a pair.
-
-    No one edge order suits every graph, so the search runs in two phases.
-    Phase 1 finds f.  It alternates the given edge order with the greedy
-    order (_greedy_order), under node caps that start at 1,024 and double
-    after each pair of attempts (Luby, Sinclair & Zuckerman's restarts,
-    IPL 47, 1993), and each attempt starts from the best count any earlier
-    one found.  The first attempt to finish gives f.  The greedy order wins
-    on dense cells (K_{6,6} with m = 4: 2,158 nodes, against no answer in
-    a minute in the given order) and loses on sparse ones (P18 with m = 6:
-    3,072 nodes, against 1,141).  Phase 2 finds the witness, the
-    lexicographically smallest coloring with f colors in the given order.
-    When the given order finished phase 1 with a coloring, that is it;
-    otherwise one more given-order search starts from f - 1 and stops at
-    its first leaf with f colors.  `colorings_examined` counts the nodes of
-    every attempt of both phases, so it equals one given-order search only
-    when that finishes under the first cap.  Every attempt honours the one
-    deadline of `timeout_ms`, which must be a number of milliseconds, 0 or
-    more (0 refuses at the first node).  Graphs with more than
-    edge_budget edges are refused outright rather than approximated; raise
-    the budget explicitly to accept the runtime risk.
-    """
-    if m < 1:
-        raise ValueError(f"matching size must be positive, got {m}")
-    if g.edge_count == 0:
-        raise ValueError("rainbow numbers are undefined on graphs with no edges")
+def _check_limits(edge_budget: int, timeout_ms: float | None) -> None:
+    """Reject an rb search's limits that no search could honour, naming the limit."""
     if timeout_ms is not None and math.isnan(timeout_ms):
         # a NaN deadline compares false with every time, so it would never stop the search
         raise ValueError("timeout must be a number of milliseconds, got NaN")
@@ -584,6 +517,38 @@ def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
         raise ValueError(f"timeout must be at least 0 milliseconds, got {timeout_ms}")
     if edge_budget < 0:
         raise ValueError(f"edge budget must be at least 0, got {edge_budget}")
+
+
+def rb_exact(g: Graph, m: int, *, edge_budget: int = DEFAULT_EDGE_BUDGET,
+             timeout_ms: float | None = None) -> RbResult:
+    """Exact rainbow number of m-matchings in g by a search over canonical colorings.
+
+    f is the maximum color count over rainbow-free surjective colorings and
+    rb = f + 1; _search is the search.  No one edge order suits every graph,
+    so it runs in two phases.  Phase 1 finds f.  It alternates the given
+    edge order with the greedy order (_greedy_order), under node caps that
+    start at 1,024 and double after each pair of attempts (Luby, Sinclair &
+    Zuckerman's restarts, IPL 47, 1993), and each attempt starts from the
+    best count any earlier one found.  The first attempt to finish gives f.
+    The greedy order wins on dense cells (K_{6,6} with m = 4: 2,158 nodes,
+    against no answer in a minute in the given order) and loses on sparse
+    ones (P18 with m = 6: 3,072 nodes, against 1,141).  Phase 2 finds the
+    witness, the lexicographically smallest coloring with f colors in the
+    given order.  When the given order finished phase 1 with a coloring,
+    that is it; otherwise one more given-order search starts from f - 1 and
+    stops at its first leaf with f colors.  `colorings_examined` counts the
+    nodes of every attempt of both phases, so it equals one given-order
+    search only when that finishes under the first cap.  Every attempt
+    honours the one deadline of `timeout_ms`, which must be a number of
+    milliseconds, 0 or more (0 refuses at the first node).  Graphs with more
+    than edge_budget edges are refused outright rather than approximated;
+    raise the budget explicitly to accept the runtime risk.
+    """
+    if m < 1:
+        raise ValueError(f"matching size must be positive, got {m}")
+    if g.edge_count == 0:
+        raise ValueError("rainbow numbers are undefined on graphs with no edges")
+    _check_limits(edge_budget, timeout_ms)
     if g.edge_count > edge_budget:
         raise BudgetExceededError(
             f"graph has {g.edge_count} edges, above the search budget of {edge_budget}; "

@@ -20,6 +20,7 @@ from .errors import BudgetExceededError
 from .extremal import (
     DEFAULT_EDGE_BUDGET,
     DISPUTED_FORMULA_CELLS,
+    _check_limits,
     ext_exact,
     ext_formula_regular,
     rb_bounds,
@@ -230,7 +231,9 @@ def verify_theorem(theorem_id: str, *, n_range=None, k_range=None, m_range=None,
     A check gets its family graph from a builder made for this call, so each
     (family, n, k, seed) graph is built once, when the first of its m-cells
     needs it: that cell's `elapsed_ms` includes the build and the later ones
-    do not.  Nothing is kept across calls."""
+    do not.  Nothing is kept across calls.  The limits are checked before
+    any cell, so a claim whose cells run no rb search still rejects them."""
+    _check_limits(edge_budget, timeout_ms)
     if theorem_id not in _CLAIMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     grid, check = _CLAIMS[theorem_id]

@@ -207,8 +207,8 @@ def test_rb_honours_its_budget_and_timeout(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["rb", "{graph}", "3"], ["verify", "T3.5", "--n", "2..8"]],
-    ids=["rb", "verify"],
+    [["rb", "{graph}", "3"], ["verify", "T3.5", "--n", "2..8"], ["verify", "T2.3", "--n", "3..4"]],
+    ids=["rb", "verify", "verify_ext_only"],
 )
 def test_a_nan_timeout_is_a_usage_error(files, args, capsys):
     # a NaN deadline would compare false with every time and never stop a search
@@ -221,14 +221,17 @@ def test_a_nan_timeout_is_a_usage_error(files, args, capsys):
 @pytest.mark.parametrize(
     ("args", "limit", "message"),
     [(args, limit, message)
-     for args in (["rb", "{graph}", "3"], ["verify", "T3.5", "--n", "2..4"])
+     for args in (["rb", "{graph}", "3"], ["verify", "T3.5", "--n", "2..4"],
+                  ["verify", "T2.3", "--n", "3..4"])
      for limit, message in ((["--timeout-ms", "-1"], "timeout must be at least 0"),
                             (["--budget-edges", "-1"], "edge budget must be at least 0"))],
-    ids=["rb_timeout", "rb_budget", "verify_timeout", "verify_budget"],
+    ids=["rb_timeout", "rb_budget", "verify_timeout", "verify_budget",
+         "verify_ext_only_timeout", "verify_ext_only_budget"],
 )
 def test_a_negative_limit_is_a_usage_error(files, args, limit, message, capsys):
     # a negative limit used to refuse every cell as over budget: rb exited 2,
-    # and verify exited 0 with every cell not_applicable
+    # and verify exited 0 with every cell not_applicable.  T2.3's cells run
+    # no rb search, so verify must check the limits before its first cell.
     graph, _ = files
     assert main([arg.format(graph=graph) for arg in args] + limit) == EXIT_USAGE
     assert message in capsys.readouterr().err

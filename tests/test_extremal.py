@@ -47,6 +47,7 @@ from helpers import (
     brute_first_rainbow_matching_in,
     brute_has_rainbow_matching,
     brute_max_matching_size,
+    brute_max_rainbow_matching,
     brute_odd_girth,
     is_disjoint_edge_set,
     random_bipartite,
@@ -602,24 +603,31 @@ def test_the_conflict_table_matches_every_rainbow_matching(case):
     # step p while j > p and it has not closed, and an edge never reopens.
     # A late edge's conflicts are added at a later step, against that step's
     # smaller open set; after each step with nothing pending, table[j] must
-    # hold exactly the open edges above j that conflict with j
+    # hold exactly the open edges above j that conflict with j.  With skip,
+    # a step with no rainbow (m-2)-matching among the colored edges drops its
+    # pending edges unadded, as _search does below r = m - 2: every conflict
+    # through such an edge needs one
     g, colors, closes, late = case
     for m in (4, 5):
-        table, pending, color_masks = [0] * g.edge_count, [], [0] * 5
-        for p in range(g.edge_count):
-            color_masks[colors[p]] |= 1 << p
-            opened = sum(1 << j for j in range(p + 1, g.edge_count) if closes[j] > p)
-            pending.append(p)
-            if late[p] and p < g.edge_count - 1:
-                continue
-            for q in pending:
-                _add_conflicts(table, q, opened, m - 2, g.disjoint, colors, color_masks)
-            pending.clear()
-            for j in range(g.edge_count):
-                if opened >> j & 1:
-                    assert table[j] & opened == brute_conflicts(
-                        g, colors, (2 << p) - 1, m - 2, j, opened & -(2 << j)), (
-                        g.edges, colors, closes, late, m, p, j)
+        for skip in (False, True):
+            table, pending, color_masks = [0] * g.edge_count, [], [0] * 5
+            for p in range(g.edge_count):
+                color_masks[colors[p]] |= 1 << p
+                opened = sum(1 << j for j in range(p + 1, g.edge_count) if closes[j] > p)
+                if skip and brute_max_rainbow_matching(g, colors, (2 << p) - 1) < m - 2:
+                    pending.clear()
+                else:
+                    pending.append(p)
+                    if late[p] and p < g.edge_count - 1:
+                        continue
+                    for q in pending:
+                        _add_conflicts(table, q, opened, m - 2, g.disjoint, colors, color_masks)
+                    pending.clear()
+                for j in range(g.edge_count):
+                    if opened >> j & 1:
+                        assert table[j] & opened == brute_conflicts(
+                            g, colors, (2 << p) - 1, m - 2, j, opened & -(2 << j)), (
+                            g.edges, colors, closes, late, m, skip, p, j)
 
 
 @settings(max_examples=200, deadline=None)
